@@ -120,17 +120,102 @@ type sample = {
 }
 
 let sample_capacity = 10_000
+
+(* The newest [sample_capacity] samples in a FIFO ring of unboxed
+   columns, allocated whole on first use: the store's footprint is fixed
+   from the first commit on instead of growing with every commit up to
+   the cap.  [tags] packs a sample's non-float fields into one byte:
+   chosen arm (bits 0-1), used arm (bits 2-3), whether a self-maintain
+   cost is present (bit 4) and [choose_differential] (bit 5). *)
+type ring = {
+  views : string array;
+  differential : Float.Array.t;
+  recompute : Float.Array.t;
+  self_maintain : Float.Array.t;
+  actual : int array;
+  tags : Bytes.t;
+  mutable oldest : int;
+  mutable length : int;
+}
+
+let arm_code = function
+  | Differential -> 0
+  | Recompute -> 1
+  | Self_maintain -> 2
+
+let arm_of_code = function
+  | 0 -> Differential
+  | 1 -> Recompute
+  | _ -> Self_maintain
+
 let store_mutex = Mutex.create ()
-let store : sample Queue.t = Queue.create ()
+let store : ring option ref = ref None
 
 let locked f =
   Mutex.lock store_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock store_mutex) f
 
+let ring () =
+  match !store with
+  | Some r -> r
+  | None ->
+    let n = sample_capacity in
+    let r =
+      {
+        views = Array.make n "";
+        differential = Float.Array.make n 0.0;
+        recompute = Float.Array.make n 0.0;
+        self_maintain = Float.Array.make n 0.0;
+        actual = Array.make n 0;
+        tags = Bytes.make n '\000';
+        oldest = 0;
+        length = 0;
+      }
+    in
+    store := Some r;
+    r
+
+(* Past capacity the slot after the newest is the oldest: overwrite it
+   and move [oldest] on. *)
+let push r ~view ~used ~actual_ns d =
+  let i = (r.oldest + r.length) mod sample_capacity in
+  if r.length < sample_capacity then r.length <- r.length + 1
+  else r.oldest <- (r.oldest + 1) mod sample_capacity;
+  r.views.(i) <- view;
+  Float.Array.set r.differential i d.differential_cost;
+  Float.Array.set r.recompute i d.recompute_cost;
+  Float.Array.set r.self_maintain i
+    (Option.value ~default:0.0 d.self_maintain_cost);
+  r.actual.(i) <- actual_ns;
+  Bytes.set_uint8 r.tags i
+    (arm_code d.choose
+    lor (arm_code used lsl 2)
+    lor (if Option.is_some d.self_maintain_cost then 16 else 0)
+    lor (if d.choose_differential then 32 else 0))
+
+(* The [k]-th oldest sample. *)
+let get r k =
+  let i = (r.oldest + k) mod sample_capacity in
+  let tag = Bytes.get_uint8 r.tags i in
+  let choose = arm_of_code (tag land 3) in
+  {
+    view = r.views.(i);
+    decision =
+      {
+        differential_cost = Float.Array.get r.differential i;
+        recompute_cost = Float.Array.get r.recompute i;
+        self_maintain_cost =
+          (if tag land 16 <> 0 then Some (Float.Array.get r.self_maintain i)
+           else None);
+        choose;
+        choose_differential = tag land 32 <> 0;
+      };
+    used = arm_of_code ((tag lsr 2) land 3);
+    actual_ns = r.actual.(i);
+  }
+
 let record ~view ~used ~actual_ns decision =
-  locked (fun () ->
-      if Queue.length store >= sample_capacity then ignore (Queue.pop store);
-      Queue.push { view; decision; used; actual_ns } store);
+  locked (fun () -> push (ring ()) ~view ~used ~actual_ns decision);
   if Obs.Control.enabled () then begin
     Obs.Metrics.add "ivm_advisor_decisions_total"
       ~labels:
@@ -157,8 +242,20 @@ let record ~view ~used ~actual_ns decision =
     | None -> ()
   end
 
-let samples () = locked (fun () -> List.of_seq (Queue.to_seq store))
-let reset_samples () = locked (fun () -> Queue.clear store)
+let samples () =
+  locked (fun () ->
+      match !store with
+      | None -> []
+      | Some r -> List.init r.length (get r))
+
+let reset_samples () =
+  locked (fun () ->
+      match !store with
+      | None -> ()
+      | Some r ->
+        Array.fill r.views 0 sample_capacity "";
+        r.oldest <- 0;
+        r.length <- 0)
 
 type calibration = {
   n_samples : int;

@@ -64,7 +64,9 @@ val pp_decision : Format.formatter -> decision -> unit
     data needed to validate and recalibrate the model: a least-squares
     scale (ns per cost unit) per strategy, and the mean relative error of
     the scaled prediction.  The store is a bounded in-memory ring
-    ({!sample_capacity} newest samples); {!record} also feeds the
+    ({!sample_capacity} newest samples, in unboxed columns allocated
+    whole by the first {!record}, so its footprint does not grow with
+    the number of commits); {!record} also feeds the
     [ivm_advisor_*] metrics in {!Obs.Metrics} when telemetry is on. *)
 
 type sample = {

@@ -33,7 +33,7 @@ module Key_table = Hashtbl.Make (struct
   type t = Value.t list
 
   let equal = List.equal Value.equal
-  let hash key = Hashtbl.hash (List.map Value.hash key)
+  let hash key = List.fold_left (fun h v -> (h * 31) + Value.hash v) 17 key
 end)
 
 type t = {

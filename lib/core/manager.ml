@@ -371,12 +371,14 @@ let health_of_state = function
         next_eligible = since;
       }
 
-(* A deep serializable image of everything recovery must restore: base
-   relations, every materialization (inner state of grouped views
-   included), banked pending deltas, health, and the (seq, lsn)
-   position.  Per-view stats are observability, not state, and are
-   deliberately not durable. *)
-let capture_state mgr =
+(* An image of everything recovery must restore: base relations, every
+   materialization (inner state of grouped views included), banked
+   pending deltas, health, and the (seq, lsn) position.  It shares the
+   live relations, so it is only good until the next mutation:
+   [write_checkpoint] encodes it on the spot, [capture_state] copies it.
+   Per-view stats are observability, not state, and are deliberately
+   not durable. *)
+let live_state mgr =
   sync_catalog mgr;
   {
     Durability.State.seq = mgr.commit_seq;
@@ -386,7 +388,7 @@ let capture_state mgr =
       | None -> 0);
     relations =
       List.map
-        (fun name -> (name, Relation.copy (Database.find mgr.db name)))
+        (fun name -> (name, Database.find mgr.db name))
         (Database.names mgr.db);
     views =
       List.map
@@ -394,21 +396,18 @@ let capture_state mgr =
           {
             Durability.State.view = View.name e.view;
             health = health_to_state e.health;
-            contents = Relation.copy (View.contents e.view);
-            grouped =
-              Option.map
-                (fun g -> Relation.copy (Grouped.inner g))
-                (View.grouped e.view);
+            contents = View.contents e.view;
+            grouped = Option.map Grouped.inner (View.grouped e.view);
             pending =
               List.map
                 (fun (relation, (d : Delta.t)) ->
-                  ( relation,
-                    Relation.copy d.Delta.inserts,
-                    Relation.copy d.Delta.deletes ))
+                  (relation, d.Delta.inserts, d.Delta.deletes))
                 e.pending;
           })
         mgr.entries;
   }
+
+let capture_state mgr = Durability.State.copy (live_state mgr)
 
 (* Restore a captured image in place.  [Relation.assign] overwrites the
    live relations through their existing handles, so the catalog (and
@@ -478,7 +477,7 @@ let write_checkpoint mgr d =
   Resilience.Fault.point "wal-checkpoint";
   Durability.Checkpoint.write
     (Durability.Config.checkpoint_path d.config)
-    (capture_state mgr);
+    (live_state mgr);
   d.baselined <- true;
   Resilience.Fault.point "wal-truncate";
   Durability.Wal.truncate_to_header d.wal;
@@ -1580,6 +1579,37 @@ let replay_record mgr (record : Durability.Record.t) =
     mgr.commit_seq <- seq;
     in_replay [] (fun () -> ignore (refresh mgr view))
 
+(* Why recovery must write a closing checkpoint, or [None] when the
+   restored state is exactly the checkpoint it read: nothing replayed,
+   and every base relation and view of this manager named in it. *)
+let closing_checkpoint_reason mgr ckpt ~records_replayed =
+  match ckpt with
+  | None -> Some "no checkpoint"
+  | Some _ when records_replayed > 0 ->
+    Some (Printf.sprintf "%d records replayed" records_replayed)
+  | Some (st : Durability.State.t) -> (
+    let in_checkpoint name =
+      List.exists
+        (fun (v : Durability.State.view_state) -> v.view = name)
+        st.views
+    in
+    match
+      List.find_opt
+        (fun name -> not (List.mem_assoc name st.relations))
+        (Database.names mgr.db)
+    with
+    | Some name ->
+      Some (Printf.sprintf "base relation %s is not in the checkpoint" name)
+    | None ->
+      List.find_map
+        (fun e ->
+          let name = View.name e.view in
+          if in_checkpoint name then None
+          else
+            Some
+              (Printf.sprintf "view %s was defined after the checkpoint" name))
+        mgr.entries)
+
 let recover mgr =
   match mgr.durable with
   | None -> invalid_arg "Manager.recover: manager has no durability"
@@ -1596,7 +1626,9 @@ let recover mgr =
         let ckpt =
           Durability.Checkpoint.read (Durability.Config.checkpoint_path d.config)
         in
+        let t_loaded = Obs.Clock.now_ns () in
         Option.iter (install_state mgr) ckpt;
+        let t_installed = Obs.Clock.now_ns () in
         let checkpoint_seq, checkpoint_lsn =
           match ckpt with
           | Some st -> (st.Durability.State.seq, st.Durability.State.lsn)
@@ -1610,45 +1642,59 @@ let recover mgr =
           List.filter (fun (lsn, _) -> lsn > checkpoint_lsn) d.tail
         in
         List.iter (fun (_, record) -> replay_record mgr record) tail;
+        let t_replayed = Obs.Clock.now_ns () in
         let records_replayed = List.length tail in
+        let covered = List.length d.tail - records_replayed in
         d.tail <- [];
         d.needs_recovery <- false;
-        (* Re-checkpoint at the recovered state: it bounds the next
-           recovery, covers views defined after the old checkpoint, and
-           makes a second [recover] over this directory a no-op. *)
-        write_checkpoint mgr d;
-        let total_ns = Obs.Clock.now_ns () - t_start in
+        (* A closing checkpoint bounds the next recovery and covers views
+           defined after the old checkpoint, so a second [recover] over
+           this directory replays nothing.  When the restored state is
+           the checkpoint just read, rewriting it would reproduce the
+           same image; only a log still holding records the checkpoint
+           covers (a crash between checkpoint and truncation) needs
+           cutting back. *)
+        let reason = closing_checkpoint_reason mgr ckpt ~records_replayed in
+        (match reason with
+        | Some _ -> write_checkpoint mgr d
+        | None -> if covered > 0 then Durability.Wal.truncate_to_header d.wal);
+        let t_end = Obs.Clock.now_ns () in
+        let total_ns = t_end - t_start in
         Obs.Metrics.add "ivm_recovery_runs_total" ~labels:[] 1;
         Obs.Metrics.add "ivm_recovery_records_replayed_total" ~labels:[]
           records_replayed;
         Obs.Metrics.observe "ivm_recovery_ns" total_ns;
+        let event kind detail =
+          { Obs.Provenance.phase = "recover"; kind; detail }
+        in
         let events =
           [
-            {
-              Obs.Provenance.phase = "recover";
-              kind = "checkpoint";
-              detail =
-                Printf.sprintf "restored seq %d (lsn %d)" checkpoint_seq
-                  checkpoint_lsn;
-            };
-            {
-              Obs.Provenance.phase = "recover";
-              kind = "replay";
-              detail =
-                Printf.sprintf "%d records replayed to seq %d"
-                  records_replayed mgr.commit_seq;
-            };
+            event "checkpoint"
+              (Printf.sprintf "restored seq %d (lsn %d)" checkpoint_seq
+                 checkpoint_lsn);
+            event "replay"
+              (Printf.sprintf "%d records replayed to seq %d" records_replayed
+                 mgr.commit_seq);
+            event "closing-checkpoint"
+              (match reason with
+              | Some why -> "written: " ^ why
+              | None ->
+                Printf.sprintf
+                  "skipped: state equals the checkpoint; %d covered records \
+                   truncated"
+                  covered);
+            event "layers"
+              (Printf.sprintf
+                 "load_ns=%d install_ns=%d replay_ns=%d rewrite_ns=%d"
+                 (t_loaded - t_start) (t_installed - t_loaded)
+                 (t_replayed - t_installed) (t_end - t_replayed));
           ]
           @
           if Durability.Wal.torn_bytes d.wal > 0 then
             [
-              {
-                Obs.Provenance.phase = "recover";
-                kind = "torn-tail";
-                detail =
-                  Printf.sprintf "%d torn bytes truncated"
-                    (Durability.Wal.torn_bytes d.wal);
-              };
+              event "torn-tail"
+                (Printf.sprintf "%d torn bytes truncated"
+                   (Durability.Wal.torn_bytes d.wal));
             ]
           else []
         in

@@ -249,10 +249,11 @@ val durable : t -> bool
 val wal_lsn : t -> int
 
 (** Deep serializable image of the engine state (base relations,
-    materializations, pending deltas, health, sequence numbers).  The
-    checkpoint payload, and the unit the crash-recovery oracle
-    compares with {!Durability.State.diff}.  Per-view {!stats} are
-    observability, not state, and are not captured. *)
+    materializations, pending deltas, health, sequence numbers): a copy
+    of what a checkpoint encodes (straight from the live relations),
+    and the unit the crash-recovery oracle compares with
+    {!Durability.State.diff}.  Per-view {!stats} are observability, not
+    state, and are not captured. *)
 val capture_state : t -> Durability.State.t
 
 (** Snapshot the full state to the checkpoint file (atomically:
@@ -272,12 +273,20 @@ type recovery = {
   torn_bytes : int;  (** torn-tail bytes truncated at open *)
 }
 
-(** [recover mgr] restores the checkpoint (if any), replays the WAL
+(** [recover mgr] restores the checkpoint (if any) and replays the WAL
     tail through the live maintenance machinery — [Faulted] views are
     forced back into quarantine with their recorded error, cascades and
-    banking re-emerge organically — and writes a fresh checkpoint, so
-    recovering twice (or recovering, crashing and recovering again) is
-    idempotent.  Fault injection is disabled for the duration.  Every
+    banking re-emerge organically.  It then writes a closing checkpoint
+    when the restored state differs from the checkpoint it read: a
+    record was replayed, a view or base relation is not in the
+    checkpoint, or there was none.  Otherwise it writes nothing, and
+    only truncates a WAL still holding records the checkpoint covers
+    (what a crash between checkpoint and truncation leaves).  Either
+    way the directory ends as checkpoint plus empty log, so recovering
+    twice (or recovering, crashing and recovering again) is idempotent.
+    The [recover] provenance record carries the load, install, replay
+    and rewrite times and whether the checkpoint was written.  Fault
+    injection is disabled for the duration.  Every
     view must be defined (in the original order) before calling, and
     the manager should be configured like the one that wrote the log
     (replay of a [Faulted] outcome forces [Quarantine] semantics for

@@ -2,40 +2,65 @@ let magic = "IVMCKP"
 let version = 1
 let header_size = String.length magic + 2
 
-let rec write_all fd bytes pos len =
+let rec write_all fd s pos len =
   if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
+    let n = Unix.write_substring fd s pos len in
+    write_all fd s (pos + n) (len - n)
   end
+
+(* A rename is durable only once the directory entry is: without this
+   fsync a power loss can lose the rename while the WAL truncation that
+   follows it survives, bringing the old checkpoint back without the
+   records that bridged the gap. *)
+let fsync_dir path =
+  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 let write path state =
   let payload = Buffer.create 4096 in
   State.encode payload state;
   let payload = Buffer.contents payload in
   let len = String.length payload in
-  let file = Buffer.create (header_size + 8 + len) in
-  Buffer.add_string file magic;
-  Buffer.add_char file (Char.chr (version land 0xff));
-  Buffer.add_char file (Char.chr ((version lsr 8) land 0xff));
-  Buffer.add_int32_le file (Int32.of_int len);
-  Buffer.add_int32_le file (Codec.crc32 payload ~pos:0 ~len);
-  Buffer.add_string file payload;
+  let header = Bytes.create (header_size + 8) in
+  Bytes.blit_string magic 0 header 0 (String.length magic);
+  Bytes.set_uint16_le header (String.length magic) version;
+  Bytes.set_int32_le header header_size (Int32.of_int len);
+  Bytes.set_int32_le header (header_size + 4) (Codec.crc32 payload ~pos:0 ~len);
   let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let bytes = Buffer.to_bytes file in
-      write_all fd bytes 0 (Bytes.length bytes);
-      Unix.fsync fd);
-  Unix.rename tmp path;
+  (try
+     let fd =
+       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+     in
+     Fun.protect
+       ~finally:(fun () -> Unix.close fd)
+       (fun () ->
+         write_all fd (Bytes.unsafe_to_string header) 0 (Bytes.length header);
+         write_all fd payload 0 len;
+         Unix.fsync fd);
+     Unix.rename tmp path
+   with exn ->
+     let bt = Printexc.get_raw_backtrace () in
+     (try Sys.remove tmp with Sys_error _ -> ());
+     Printexc.raise_with_backtrace exn bt);
+  fsync_dir path;
   Obs.Metrics.add "ivm_wal_checkpoints_total" ~labels:[] 1;
   Obs.Metrics.observe "ivm_wal_checkpoint_bytes" (header_size + 8 + len)
+
+(* The file at its known size, in one read. *)
+let read_file path =
+  In_channel.with_open_bin path (fun ic ->
+      let size = Int64.to_int (In_channel.length ic) in
+      match In_channel.really_input_string ic size with
+      | Some content -> content
+      | None ->
+        raise
+          (Codec.Corrupt
+             (Printf.sprintf "%s: file shrank while it was read" path)))
 
 let read path =
   if not (Sys.file_exists path) then None
   else begin
-    let content = In_channel.with_open_bin path In_channel.input_all in
+    let content = read_file path in
     let size = String.length content in
     if size < header_size + 8 then
       raise

@@ -13,29 +13,64 @@ let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320)                 *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
+(* Slicing-by-8: table [k] advances a byte through [k] further zero
+   bytes, so one step folds eight input bytes (two little-endian 32-bit
+   loads) into the running value with eight lookups.  Everything stays
+   in native ints; the tables are one flat array, table [k] at
+   [k * 256]. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let get_u32_le s i =
+  if Sys.big_endian then Int32.to_int (bswap32 (get32u s i)) land 0xffffffff
+  else Int32.to_int (get32u s i) land 0xffffffff
 
 let crc32 ?(crc = 0l) s ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref (Int32.lognot crc) in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int
-        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Codec.crc32";
+  let t = Lazy.force crc_tables in
+  let tab k b = Array.unsafe_get t ((k * 256) + b) in
+  let c = ref ((Int32.to_int crc land 0xffffffff) lxor 0xffffffff) in
+  let i = ref pos in
+  let stop8 = pos + len - 8 in
+  while !i <= stop8 do
+    let lo = !c lxor get_u32_le s !i in
+    let hi = get_u32_le s (!i + 4) in
+    c :=
+      tab 7 (lo land 0xff)
+      lxor tab 6 ((lo lsr 8) land 0xff)
+      lxor tab 5 ((lo lsr 16) land 0xff)
+      lxor tab 4 (lo lsr 24)
+      lxor tab 3 (hi land 0xff)
+      lxor tab 2 ((hi lsr 8) land 0xff)
+      lxor tab 1 ((hi lsr 16) land 0xff)
+      lxor tab 0 (hi lsr 24);
+    i := !i + 8
   done;
-  Int32.lognot !c
+  for j = !i to pos + len - 1 do
+    c :=
+      tab 0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
 
 (* ------------------------------------------------------------------ *)
 (* primitives                                                           *)
@@ -95,10 +130,12 @@ let r_string r =
   s
 
 (* Length sanity: a decoded collection can never hold more elements
-   than remaining bytes (every element costs at least one byte). *)
-let r_len r =
+   than remaining bytes allow (every element costs at least [min_bytes]
+   bytes).  Decoders may presize by the result, so this bound is also
+   what keeps a corrupted prefix from driving a huge allocation. *)
+let r_len ?(min_bytes = 1) r =
   let n = r_int r in
-  if n < 0 || n > String.length r.src - r.pos then
+  if n < 0 || n > (String.length r.src - r.pos) / min_bytes then
     corrupt "implausible length %d at offset %d" n (r.pos - 8);
   n
 
@@ -197,27 +234,35 @@ let r_schema r =
 
 let w_relation b rel =
   w_schema b (Relation.schema rel);
-  w_list
-    (fun b (tuple, count) ->
+  let sorted = Relation.sorted_array rel in
+  w_int b (Array.length sorted);
+  Array.iter
+    (fun (tuple, count) ->
       w_tuple b tuple;
       w_int b count)
-    b
-    (Relation.sorted_elements rel)
+    sorted
 
+(* Decodes straight into a relation presized by the length prefix; a
+   counted tuple costs at least its arity word and its counter.  A
+   repeated tuple adds up its counters, which can only overflow on
+   corrupt input. *)
 let r_relation r =
   let schema = r_schema r in
-  let counted =
-    r_list
-      (fun r ->
-        let tuple = r_tuple r in
-        let count = r_int r in
-        if count <= 0 then corrupt "non-positive counter %d" count;
-        (tuple, count))
-      r
-  in
-  match Relation.of_counted schema counted with
-  | rel -> rel
-  | exception Invalid_argument msg -> corrupt "bad relation: %s" msg
+  let n = r_len ~min_bytes:16 r in
+  let rel = Relation.create ~size_hint:n schema in
+  match
+    for _ = 1 to n do
+      let tuple = r_tuple r in
+      let count = r_int r in
+      if count <= 0 then corrupt "non-positive counter %d" count;
+      (match Tuple.check schema tuple with
+      | () -> ()
+      | exception Invalid_argument msg -> corrupt "bad relation: %s" msg);
+      Relation.add ~count rel tuple
+    done
+  with
+  | () -> rel
+  | exception Relation.Negative_count _ -> corrupt "counter overflow"
 
 let w_net b (net : Transaction.net) =
   w_list

@@ -2,10 +2,11 @@
 
     Fixed-width little-endian integers, length-prefixed strings, and
     encoders for the {!Relalg} values the WAL and checkpoint files
-    carry.  Counted relations serialize via
-    {!Relalg.Relation.sorted_elements}, so encoding is deterministic:
-    the same state always produces the same bytes (the crash-recovery
-    oracle depends on that).
+    carry.  Counted relations serialize in tuple order
+    ({!Relalg.Relation.sorted_array}), so encoding is deterministic:
+    the same state always produces the same bytes, whatever the hash
+    tables' iteration order.  (The crash-recovery oracle does not rely
+    on that: it compares decoded images with {!State.diff}.)
 
     Decoders never read past the input; any malformed input raises
     {!Corrupt} with a diagnostic instead of an [Invalid_argument] or an
@@ -16,7 +17,10 @@ exception Corrupt of string
 (** {2 CRC-32} *)
 
 (** IEEE 802.3 (reflected) CRC-32 of [len] bytes of [s] at [pos];
-    [crc] chains a running checksum. *)
+    [crc] chains a running checksum.  Eight bytes a step
+    (slicing-by-8) in native ints, without allocating.
+    @raise Invalid_argument when [pos] and [len] do not name a range
+    of [s]. *)
 val crc32 : ?crc:int32 -> string -> pos:int -> len:int -> int32
 
 (** {2 Primitive writers (into a [Buffer.t])} *)
@@ -59,8 +63,10 @@ val r_tuple : reader -> Relalg.Tuple.t
 val w_schema : Buffer.t -> Relalg.Schema.t -> unit
 val r_schema : reader -> Relalg.Schema.t
 
-(** Schema + sorted counted elements; decoding rebuilds with
-    {!Relalg.Relation.of_counted}. *)
+(** Schema + counted elements in tuple order.  Decoding reads straight
+    into a relation presized by the length prefix, after checking that
+    the prefix fits the remaining bytes, every counter is positive and
+    every tuple fits the schema. *)
 val w_relation : Buffer.t -> Relalg.Relation.t -> unit
 
 val r_relation : reader -> Relalg.Relation.t

@@ -25,6 +25,26 @@ type t = {
   views : view_state list;
 }
 
+let copy t =
+  let rel = Relation.copy in
+  {
+    t with
+    relations = List.map (fun (name, r) -> (name, rel r)) t.relations;
+    views =
+      List.map
+        (fun v ->
+          {
+            v with
+            contents = rel v.contents;
+            grouped = Option.map rel v.grouped;
+            pending =
+              List.map
+                (fun (name, ins, del) -> (name, rel ins, rel del))
+                v.pending;
+          })
+        t.views;
+  }
+
 let w_health b = function
   | Healthy -> Buffer.add_char b '\000'
   | Quarantined { error; since; heal_failures; next_eligible } ->

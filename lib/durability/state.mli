@@ -38,6 +38,10 @@ type t = {
   views : view_state list;  (** definition order *)
 }
 
+(** A deep copy: every relation is copied, so the result stays fixed
+    while the engine the image was taken from moves on. *)
+val copy : t -> t
+
 val encode : Buffer.t -> t -> unit
 val decode : Codec.reader -> t
 val w_health : Buffer.t -> health -> unit

@@ -187,9 +187,10 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
       len - keep
     | _ -> 0
   in
-  (* Freeze a byte-for-byte copy of the directory now: recovery rewrites
-     the checkpoint and truncates the WAL, so idempotence-from-disk must
-     be checked against a copy. *)
+  (* Freeze a byte-for-byte copy of the directory now: recovery writes
+     a closing checkpoint when it replays records (or finds a view the
+     checkpoint lacks) and truncates the WAL, so idempotence-from-disk
+     must be checked against a copy. *)
   let config2 = Durability.Config.make ~fsync ~checkpoint_every dir2 in
   copy_file
     (Durability.Config.wal_path config)
@@ -210,8 +211,8 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
       config expected
   in
   (* Idempotence, twice over: recover the same manager again (the tail
-     is consumed, the fresh checkpoint must round-trip), and recover a
-     third manager from the pre-recovery on-disk image. *)
+     is consumed, the checkpoint on disk must round-trip), and recover
+     a third manager from the pre-recovery on-disk image. *)
   let (_ : Manager.recovery) = Manager.recover mgr2 in
   (match Durability.State.diff expected (Manager.capture_state mgr2) with
   | None -> ()

@@ -72,8 +72,18 @@ let iter f r = Tuple_table.iter f r.table
 let fold f r init = Tuple_table.fold f r.table init
 let elements r = fold (fun t c acc -> (t, c) :: acc) r []
 
-let sorted_elements r =
-  List.sort (fun (a, _) (b, _) -> Tuple.compare a b) (elements r)
+let sorted_array r =
+  let a = Array.make (cardinal r) ([||], 0) in
+  let i = ref 0 in
+  iter
+    (fun t c ->
+      a.(!i) <- (t, c);
+      incr i)
+    r;
+  Array.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) a;
+  a
+
+let sorted_elements r = Array.to_list (sorted_array r)
 
 let of_tuples schema tuples =
   let r = create ~size_hint:(List.length tuples) schema in
@@ -129,11 +139,16 @@ let diff_into ~into r = iter (fun t c -> update into t (-c)) r
 let assign ~into ~src =
   if Schema.arity into.schema <> Schema.arity src.schema then
     invalid_arg "Relation.assign: arity mismatch";
-  List.iter
-    (fun (t, c) ->
-      let target = count src t in
-      if not (R.equal target c) then update into t (R.add target (-c)))
-    (elements into);
+  (* Only the tuples whose counter changes are listed: [into] cannot be
+     updated while it is being iterated. *)
+  let changed =
+    fold
+      (fun t c acc ->
+        let target = count src t in
+        if R.equal target c then acc else (t, R.add target (-c)) :: acc)
+      into []
+  in
+  List.iter (fun (t, delta) -> update into t delta) changed;
   iter (fun t c -> if not (mem into t) then update into t c) src
 
 let union a b =

@@ -50,6 +50,10 @@ val elements : t -> (Tuple.t * int) list
     printing and comparison in tests). *)
 val sorted_elements : t -> (Tuple.t * int) list
 
+(** {!sorted_elements} as an array, built and sorted without an
+    intermediate list. *)
+val sorted_array : t -> (Tuple.t * int) array
+
 (** [of_tuples schema tuples] builds a relation with counter increments of
     one per listed tuple (duplicates accumulate). Type-checks every tuple. *)
 val of_tuples : Schema.t -> Tuple.t list -> t

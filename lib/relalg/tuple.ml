@@ -23,7 +23,12 @@ let compare a b =
     in
     loop 0
 
-let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
+let hash t =
+  let h = ref 17 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash t.(i)
+  done;
+  !h
 
 let check schema t =
   if arity t <> Schema.arity schema then

@@ -23,9 +23,20 @@ let compare a b =
   | Int _, Str _ -> -1
   | Str _, Int _ -> 1
 
+(* Every relation, index and join table keys on this, so an [Int] is
+   hashed in registers: a multiply-xorshift finalizer (MurmurHash3's
+   fmix64, constants cut to OCaml's 63-bit ints) that spreads sequential
+   and strided keys over the low bits hash tables index by. *)
+let mix x =
+  let x = x lxor (x lsr 33) in
+  let x = x * 0x7f51afd7ed558ccd in
+  let x = x lxor (x lsr 33) in
+  let x = x * 0x44ceb9fe1a85ec53 in
+  x lxor (x lsr 33)
+
 let hash = function
-  | Int x -> Hashtbl.hash (0, x)
-  | Str s -> Hashtbl.hash (1, s)
+  | Int x -> mix x
+  | Str s -> Hashtbl.hash s
 
 let pp ppf = function
   | Int x -> Format.pp_print_int ppf x

@@ -23,6 +23,8 @@ val equal : t -> t -> bool
     order is used. *)
 val compare : t -> t -> int
 
+(** Consistent with {!equal}.  Allocation-free: integers are mixed in
+    registers, strings go through [Hashtbl.hash]. *)
 val hash : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -271,6 +271,45 @@ let advisor_tests =
         Alcotest.(check (option (float 1e-6))) "zero residual error"
           (Some 0.0) c.Advisor.mean_abs_rel_error;
         Advisor.reset_samples ());
+    quick "the sample store keeps the newest samples, oldest first" (fun () ->
+        Advisor.reset_samples ();
+        let decision i =
+          {
+            Advisor.differential_cost = float_of_int i;
+            recompute_cost = float_of_int (2 * i);
+            self_maintain_cost =
+              (if i mod 3 = 0 then Some (float_of_int i +. 0.5) else None);
+            choose =
+              (match i mod 3 with
+              | 0 -> Advisor.Differential
+              | 1 -> Advisor.Recompute
+              | _ -> Advisor.Self_maintain);
+            choose_differential = i mod 3 = 0;
+          }
+        in
+        let used i =
+          if i mod 2 = 0 then Advisor.Recompute else Advisor.Differential
+        in
+        let n = (2 * Advisor.sample_capacity) + 3 in
+        for i = 1 to n do
+          Advisor.record ~view:(Printf.sprintf "v%d" (i mod 7)) ~used:(used i)
+            ~actual_ns:i (decision i)
+        done;
+        let samples = Advisor.samples () in
+        Alcotest.(check int) "capacity" Advisor.sample_capacity
+          (List.length samples);
+        List.iteri
+          (fun k (s : Advisor.sample) ->
+            let i = n - Advisor.sample_capacity + 1 + k in
+            if
+              s.Advisor.actual_ns <> i
+              || s.Advisor.decision <> decision i
+              || s.Advisor.view <> Printf.sprintf "v%d" (i mod 7)
+              || s.Advisor.used <> used i
+            then Alcotest.fail (Printf.sprintf "sample %d is not record %d" k i))
+          samples;
+        Advisor.reset_samples ();
+        Alcotest.(check int) "reset empties" 0 (List.length (Advisor.samples ())));
   ]
 
 let () =

@@ -104,11 +104,59 @@ let codec_tests =
            ignore (Codec.r_string (Codec.reader cut));
            Alcotest.fail "truncated input decoded"
          with Durability.Corrupt _ -> ()));
+    quick "a repeated tuple whose counters overflow raises Corrupt" (fun () ->
+        let buf = Buffer.create 64 in
+        Codec.w_schema buf (Relation.schema (rel [ "A" ] []));
+        Codec.w_int buf 2;
+        for _ = 1 to 2 do
+          Codec.w_tuple buf (Tuple.of_ints [ 1 ]);
+          Codec.w_int buf max_int
+        done;
+        match Codec.r_relation (Codec.reader (Buffer.contents buf)) with
+        | (_ : Relation.t) -> Alcotest.fail "overflowing counters decoded"
+        | exception Durability.Corrupt _ -> ());
     quick "crc32 matches the IEEE reference vector" (fun () ->
         (* "123456789" -> 0xCBF43926 is the standard check value. *)
         Alcotest.(check int32)
           "check value" 0xCBF43926l
           (Codec.crc32 "123456789" ~pos:0 ~len:9));
+    quick "crc32 chains: split anywhere equals one shot and bitwise" (fun () ->
+        (* The word-wise loop consumes eight bytes a step and finishes
+           byte-wise, so every length 0-64 at every start offset 0-7
+           crosses each boundary case. *)
+        let s = String.init 80 (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+        let bitwise ~pos ~len =
+          let c = ref 0xFFFFFFFF in
+          for i = pos to pos + len - 1 do
+            c := !c lxor Char.code s.[i];
+            for _ = 1 to 8 do
+              c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+            done
+          done;
+          Int32.of_int (!c lxor 0xFFFFFFFF)
+        in
+        for pos = 0 to 7 do
+          for len = 0 to 64 do
+            let whole = Codec.crc32 s ~pos ~len in
+            let what = Printf.sprintf "pos %d len %d" pos len in
+            Alcotest.(check int32) (what ^ " bitwise") (bitwise ~pos ~len) whole;
+            for k = 0 to len do
+              let head = Codec.crc32 s ~pos ~len:k in
+              Alcotest.(check int32)
+                (Printf.sprintf "%s split %d" what k)
+                whole
+                (Codec.crc32 ~crc:head s ~pos:(pos + k) ~len:(len - k))
+            done
+          done
+        done);
+    quick "crc32 rejects a range outside the string" (fun () ->
+        List.iter
+          (fun (pos, len) ->
+            match Codec.crc32 "0123456789" ~pos ~len with
+            | (_ : int32) ->
+              Alcotest.fail (Printf.sprintf "pos %d len %d accepted" pos len)
+            | exception Invalid_argument _ -> ())
+          [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (3, 8); (max_int, 1) ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -191,6 +239,76 @@ let record_tests =
         | None -> ()
         | Some d -> Alcotest.fail ("state diff after round-trip: " ^ d));
         Alcotest.(check bool) "equal" true (State.equal st decoded));
+  ]
+
+(* A state touching every part of the payload: strings, bounded
+   schemas, counters above one, a grouped inner state, banked pending
+   deltas and a quarantine. *)
+let fuzz_state =
+  let orders =
+    Relation.of_counted
+      (Schema.make_bounded
+         [
+           ("oid", Value.Int_ty, Some (0, 1000));
+           ("region", Value.Str_ty, None);
+         ])
+      [
+        ([| Value.Int 1; Value.Str "north" |], 1);
+        ([| Value.Int 2; Value.Str "south" |], 3);
+        ([| Value.Int 999; Value.Str "" |], 2);
+      ]
+  in
+  {
+    State.seq = 12;
+    lsn = 40;
+    relations = [ ("orders", orders); ("R", rel [ "A"; "B" ] [ [ 1; 2 ]; [ 3; 4 ] ]) ];
+    views =
+      [
+        {
+          State.view = "by_region";
+          health =
+            State.Quarantined
+              { error = "boom"; since = 3; heal_failures = 1; next_eligible = 5 };
+          contents = counted_rel [ "A" ] [ ([ 1 ], 2) ];
+          grouped = Some (rel [ "A"; "B" ] [ [ 1; 2 ] ]);
+          pending =
+            [ ("R", rel [ "A"; "B" ] [ [ 5; 6 ] ], rel [ "A"; "B" ] [ [ 1; 2 ] ]) ];
+        };
+      ];
+  }
+
+(* Decoding untrusted bytes either succeeds or raises [Codec.Corrupt]:
+   any other exception (or a crash) fails. *)
+let decodes_or_corrupt bytes =
+  match
+    let r = Codec.reader bytes in
+    ignore (State.decode r);
+    Codec.expect_end r
+  with
+  | () -> true
+  | exception Codec.Corrupt _ -> true
+
+let payload_fuzz_tests =
+  let payload =
+    let b = Buffer.create 256 in
+    State.encode b fuzz_state;
+    Buffer.contents b
+  in
+  let n = String.length payload in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000
+         ~name:"a cut state payload decodes or raises Corrupt"
+         QCheck.(int_bound (n - 1))
+         (fun cut -> decodes_or_corrupt (String.sub payload 0 cut)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000
+         ~name:"a state payload with a flipped byte decodes or raises Corrupt"
+         QCheck.(pair (int_bound (n - 1)) (int_range 1 255))
+         (fun (at, mask) ->
+           let b = Bytes.of_string payload in
+           Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+           decodes_or_corrupt (Bytes.to_string b)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -319,6 +437,48 @@ let check_state msg expected actual =
   | None -> ()
   | Some d -> Alcotest.fail (msg ^ ": " ^ d)
 
+let checkpoint_path dir =
+  Durability.Config.checkpoint_path (Durability.Config.make dir)
+
+let wal_path dir = Durability.Config.wal_path (Durability.Config.make dir)
+
+(* The newest [recover] provenance record must say whether the closing
+   checkpoint was written or skipped ([outcome]) and carry the layer
+   times. *)
+let check_recover_provenance what outcome =
+  let events =
+    match
+      List.rev
+        (List.filter
+           (fun (c : Obs.Provenance.commit) -> c.kind = "recover")
+           (Obs.Provenance.recent ()))
+    with
+    | c :: _ -> c.events
+    | [] -> Alcotest.fail "no recover provenance record"
+  in
+  let detail kind =
+    match
+      List.find_opt (fun (e : Obs.Provenance.event) -> e.kind = kind) events
+    with
+    | Some e -> e.detail
+    | None -> Alcotest.fail (Printf.sprintf "%s: no %s event" what kind)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: closing checkpoint %s" what outcome)
+    true
+    (String.starts_with ~prefix:outcome (detail "closing-checkpoint"));
+  Alcotest.(check bool)
+    (what ^ ": layer times")
+    true
+    (String.starts_with ~prefix:"load_ns=" (detail "layers"))
+
+(* Checkpoints [f] writes, counted by the telemetry counter. *)
+let checkpoints_written f =
+  Obs.Control.with_enabled (fun () ->
+      let before = Obs.Metrics.counter_value "ivm_wal_checkpoints_total" in
+      f ();
+      Obs.Metrics.counter_value "ivm_wal_checkpoints_total" - before)
+
 let manager_tests =
   [
     quick "commit appends one record; recovery reproduces the state"
@@ -343,9 +503,9 @@ let manager_tests =
             let expected = Manager.capture_state mgr in
             let mgr2, _ = fresh_recovered dir in
             check_state "first" expected (Manager.capture_state mgr2);
-            (* recover rewrote the checkpoint and truncated the WAL; a
-               fresh manager over the rewritten directory replays
-               nothing and lands on the same state. *)
+            (* recover replayed records, so it wrote a closing checkpoint
+               and truncated the WAL; a fresh manager over the rewritten
+               directory replays nothing and lands on the same state. *)
             let mgr3, info3 = fresh_recovered dir in
             Alcotest.(check int) "nothing left to replay" 0
               info3.Manager.records_replayed;
@@ -372,6 +532,95 @@ let manager_tests =
             let mgr2, info = fresh_recovered dir in
             Alcotest.(check int) "no replay" 0 info.Manager.records_replayed;
             check_state "restored" expected (Manager.capture_state mgr2)));
+    quick "a recovery with nothing to replay writes no checkpoint" (fun () ->
+        with_dir "mgr-skip" (fun dir ->
+            let mgr, _ = run_durable ~seed:17 ~transactions:3 dir in
+            Manager.checkpoint mgr;
+            let expected = Manager.capture_state mgr in
+            let ckpt = checkpoint_path dir in
+            let inode = (Unix.stat ckpt).Unix.st_ino in
+            let written =
+              checkpoints_written (fun () ->
+                  let mgr2, info = fresh_recovered dir in
+                  Alcotest.(check int) "no replay" 0
+                    info.Manager.records_replayed;
+                  check_state "restored" expected (Manager.capture_state mgr2))
+            in
+            Alcotest.(check int) "ivm_wal_checkpoints_total unchanged" 0 written;
+            check_recover_provenance "nothing to replay" "skipped";
+            Alcotest.(check int) "checkpoint.bin keeps its inode" inode
+              (Unix.stat ckpt).Unix.st_ino));
+    quick "a skipped rewrite still truncates a WAL of covered records"
+      (fun () ->
+        with_dir "mgr-skip-truncate" (fun dir ->
+            let mgr, _ = run_durable ~seed:18 ~transactions:3 dir in
+            let wal = wal_path dir in
+            let saved = In_channel.with_open_bin wal In_channel.input_all in
+            (* A crash at wal-truncate: the checkpoint covers every
+               record, but the log still holds them. *)
+            Manager.checkpoint mgr;
+            let expected = Manager.capture_state mgr in
+            Out_channel.with_open_bin wal (fun oc ->
+                Out_channel.output_string oc saved);
+            let inode = (Unix.stat (checkpoint_path dir)).Unix.st_ino in
+            let written =
+              checkpoints_written (fun () ->
+                  let mgr2, info = fresh_recovered dir in
+                  Alcotest.(check int) "covered records not replayed" 0
+                    info.Manager.records_replayed;
+                  Alcotest.(check int) "lsn past the covered records" 3
+                    info.Manager.last_lsn;
+                  check_state "restored" expected (Manager.capture_state mgr2))
+            in
+            Alcotest.(check int) "no checkpoint written" 0 written;
+            Alcotest.(check int) "checkpoint.bin keeps its inode" inode
+              (Unix.stat (checkpoint_path dir)).Unix.st_ino;
+            Alcotest.(check (list int)) "WAL truncated to its header" []
+              (List.map (fun (lsn, _, _) -> lsn) (Wal.entries wal));
+            Alcotest.(check int) "WAL is the bare header" 8
+              (Unix.stat wal).Unix.st_size));
+    quick "a recovery that replays records writes a checkpoint" (fun () ->
+        with_dir "mgr-rewrite-replay" (fun dir ->
+            let _ = run_durable ~seed:19 ~transactions:3 dir in
+            let inode = (Unix.stat (checkpoint_path dir)).Unix.st_ino in
+            let written =
+              checkpoints_written (fun () ->
+                  let _, info = fresh_recovered dir in
+                  Alcotest.(check int) "replayed" 3 info.Manager.records_replayed)
+            in
+            Alcotest.(check int) "one checkpoint written" 1 written;
+            check_recover_provenance "replayed" "written";
+            Alcotest.(check bool) "checkpoint.bin replaced" true
+              (inode <> (Unix.stat (checkpoint_path dir)).Unix.st_ino)));
+    quick "a view defined after the checkpoint makes recovery write one"
+      (fun () ->
+        with_dir "mgr-rewrite-view" (fun dir ->
+            let mgr, _ = run_durable ~seed:20 ~transactions:3 dir in
+            Manager.checkpoint mgr;
+            let recover_with_late () =
+              let config = Durability.Config.make dir in
+              let mgr = Manager.create ~domains:1 ~durability:config (make_db ()) in
+              define_views mgr;
+              ignore
+                (Manager.define_view mgr ~name:"late"
+                   Query.Expr.(project [ "A" ] (base "R")));
+              let info = Manager.recover mgr in
+              (mgr, info)
+            in
+            let written =
+              checkpoints_written (fun () ->
+                  let mgr2, info = recover_with_late () in
+                  Alcotest.(check int) "no replay" 0 info.Manager.records_replayed;
+                  Alcotest.(check bool) "late view consistent" true
+                    (Manager.consistent mgr2 "late"))
+            in
+            Alcotest.(check int) "one checkpoint written" 1 written;
+            (* The rewritten checkpoint covers the late view, so the next
+               recovery has nothing to write. *)
+            let written =
+              checkpoints_written (fun () -> ignore (recover_with_late ()))
+            in
+            Alcotest.(check int) "then nothing to write" 0 written));
     quick "commit before recovery is refused; define after append too"
       (fun () ->
         with_dir "mgr-guards" (fun dir ->
@@ -547,6 +796,7 @@ let () =
     [
       ("codec", codec_tests);
       ("records", record_tests);
+      ("fuzz", payload_fuzz_tests);
       ("wal", wal_tests);
       ("manager", manager_tests);
       ("torn-tail", torn_tail_tests);

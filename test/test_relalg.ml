@@ -736,10 +736,74 @@ let index_tests =
         Alcotest.(check bool) "consistent" true (Ivm.View.consistent view db));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Hashing: every relation, index and join table keys on Tuple.hash     *)
+(* ------------------------------------------------------------------ *)
+
+(* The longest chain when [hashes] fill 2^16 buckets by their low bits,
+   the way a table of that size indexes them. *)
+let longest_chain hashes =
+  let buckets = Array.make 65536 0 in
+  List.iter
+    (fun h ->
+      let i = h land 0xFFFF in
+      buckets.(i) <- buckets.(i) + 1)
+    hashes;
+  Array.fold_left max 0 buckets
+
+let check_spread what hashes =
+  let chain = longest_chain hashes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: longest chain %d <= 12" what chain)
+    true (chain <= 12)
+
+let hash_tests =
+  [
+    quick "equal values and tuples hash equal" (fun () ->
+        List.iter
+          (fun (a, b) ->
+            Alcotest.(check bool) "equal" true (Value.equal a b);
+            Alcotest.(check int) "value hash" (Value.hash a) (Value.hash b))
+          [
+            (Value.Int 0, Value.Int 0);
+            (Value.Int (-1), Value.Int (-1));
+            (Value.Int max_int, Value.Int max_int);
+            (Value.Int min_int, Value.Int min_int);
+            (Value.Str "", Value.Str "");
+            (Value.Str "north", Value.Str (String.concat "" [ "nor"; "th" ]));
+          ];
+        let a = [| Value.Int 7; Value.Str "east"; Value.Int (-3) |] in
+        let b = Array.map Fun.id a in
+        Alcotest.(check int) "tuple hash" (Tuple.hash a) (Tuple.hash b));
+    quick "sequential and strided ints spread over low bits" (fun () ->
+        check_spread "sequential values"
+          (List.init 40_000 (fun i -> Value.hash (Value.Int i)));
+        check_spread "sequential 1-tuples"
+          (List.init 40_000 (fun i -> Tuple.hash (Tuple.of_ints [ i ])));
+        check_spread "1,024 stride"
+          (List.init 40_000 (fun i -> Value.hash (Value.Int (i * 1024))));
+        check_spread "1,024 stride 1-tuples"
+          (List.init 40_000 (fun i -> Tuple.hash (Tuple.of_ints [ i * 1024 ]))));
+    quick "orders tuples and short strings spread over low bits" (fun () ->
+        let sc =
+          Workload.Scenario.orders ~rng:(Workload.Rng.make 1986)
+            ~customers:2_000 ~orders:40_000
+        in
+        check_spread "orders"
+          (Relation.fold
+             (fun t _ acc -> Tuple.hash t :: acc)
+             (Database.find sc.Workload.Scenario.db "orders")
+             []);
+        check_spread "short strings"
+          (List.init 40_000 (fun i ->
+               Value.hash (Value.Str (Printf.sprintf "s%d" i)))));
+  ]
+
 let () =
   Alcotest.run "relalg"
     [
       ("value", value_tests);
+      ("hash", hash_tests);
       ("attr", attr_tests);
       ("schema", schema_tests);
       ("tuple", tuple_tests);

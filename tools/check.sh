@@ -41,10 +41,14 @@ for d in 1 2 4; do
   # boundaries, plus torn tails injected at arbitrary byte offsets into
   # the surviving log.  Every crash must recover to a state
   # bit-identical to an oracle that replayed the durable prefix, twice
-  # (recovery is idempotent), before the stream resumes.
+  # (recovery is idempotent), before the stream resumes.  The second run
+  # draws GROUP BY views and towers, so grouped inner state goes through
+  # kill-point recovery too.
   if [ "$d" -ne 2 ]; then
     dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
       --transactions 30 --domains "$d" --crash --quiet
+    dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+      --transactions 30 --domains "$d" --crash --aggregates --quiet
   fi
   # Provenance smoke: the explain pipeline must replay the paper demo
   # (screening rules, keyed drain, certificate fallback) and emit
