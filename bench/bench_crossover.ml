@@ -36,7 +36,7 @@ let adaptive_sweep ~name ~db ~view ~scenario ~relation ~base_size rng =
             ~db ~view txn
         in
         let chosen, chosen_time =
-          if decision.Ivm.Advisor.choose_differential then
+          if decision.Ivm.Advisor.choose = Ivm.Advisor.Differential then
             ("differential", diff)
           else ("recompute", full)
         in

@@ -15,7 +15,6 @@ type decision = {
   recompute_cost : float;
   self_maintain_cost : float option;
   choose : arm;
-  choose_differential : bool;
 }
 
 (* Calibrated against experiment E9 on the hash-join engine: differential
@@ -92,13 +91,7 @@ let decide view ~db ~net =
       Self_maintain
     | _ -> cheaper_classic
   in
-  {
-    differential_cost;
-    recompute_cost;
-    self_maintain_cost;
-    choose;
-    choose_differential = choose = Differential;
-  }
+  { differential_cost; recompute_cost; self_maintain_cost; choose }
 
 let pp_decision ppf d =
   Format.fprintf ppf "differential=%.0f recompute=%.0f%s -> %s"
@@ -125,8 +118,8 @@ let sample_capacity = 10_000
    columns, allocated whole on first use: the store's footprint is fixed
    from the first commit on instead of growing with every commit up to
    the cap.  [tags] packs a sample's non-float fields into one byte:
-   chosen arm (bits 0-1), used arm (bits 2-3), whether a self-maintain
-   cost is present (bit 4) and [choose_differential] (bit 5). *)
+   chosen arm (bits 0-1), used arm (bits 2-3) and whether a
+   self-maintain cost is present (bit 4). *)
 type ring = {
   views : string array;
   differential : Float.Array.t;
@@ -190,8 +183,7 @@ let push r ~view ~used ~actual_ns d =
   Bytes.set_uint8 r.tags i
     (arm_code d.choose
     lor (arm_code used lsl 2)
-    lor (if Option.is_some d.self_maintain_cost then 16 else 0)
-    lor (if d.choose_differential then 32 else 0))
+    lor (if Option.is_some d.self_maintain_cost then 16 else 0))
 
 (* The [k]-th oldest sample. *)
 let get r k =
@@ -208,7 +200,6 @@ let get r k =
           (if tag land 16 <> 0 then Some (Float.Array.get r.self_maintain i)
            else None);
         choose;
-        choose_differential = tag land 32 <> 0;
       };
     used = arm_of_code ((tag lsr 2) land 3);
     actual_ns = r.actual.(i);
@@ -340,7 +331,6 @@ let sample_json s =
         | Some c -> Obs.Json.Float c
         | None -> Obs.Json.Null );
       ("chose", Obs.Json.Str (arm_name s.decision.choose));
-      ("chose_differential", Obs.Json.Bool s.decision.choose_differential);
       ("used", Obs.Json.Str (arm_name s.used));
       ("actual_ns", Obs.Json.Int s.actual_ns);
     ]

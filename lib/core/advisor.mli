@@ -44,9 +44,6 @@ type decision = {
       (** [None] when the view has no certificate or it does not cover
           this transaction's update sets *)
   choose : arm;  (** cheapest applicable arm *)
-  choose_differential : bool;
-      (** [choose = Differential]; kept for the pre-[Self_maintain]
-          consumers of the two-arm model *)
 }
 
 (** [decide view ~db ~net] evaluates the cost model for one transaction.
@@ -109,7 +106,7 @@ val pp_calibration : Format.formatter -> calibration -> unit
 
 (** The newest [limit] samples (all, by default) as a JSON array of
     [{view, predicted_differential, predicted_recompute,
-    predicted_self_maintain, chose, chose_differential, used, actual_ns}]
+    predicted_self_maintain, chose, used, actual_ns}]
     objects. *)
 val samples_json : ?limit:int -> unit -> Obs.Json.t
 

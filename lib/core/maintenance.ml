@@ -119,10 +119,6 @@ let concrete_strategy options view ~net ~decision =
     | Advisor.Differential -> Differential
     | Advisor.Recompute -> Recompute)
 
-let resolve_strategy options view ~db ~net =
-  concrete_strategy options view ~net
-    ~decision:(Advisor.decide view ~db ~net)
-
 (* [resolve_with_decision] always evaluates the cost model, so its
    prediction can be recorded against the measured cost even when the
    strategy is forced — that is what calibrates the advisor. *)

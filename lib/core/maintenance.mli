@@ -48,19 +48,12 @@ type options = {
     reuse, sharding past {!Delta_eval.default_shard_min} tuples. *)
 val default_options : options
 
-(** [resolve_strategy options view ~db ~net] resolves [Adaptive] and
-    [Self_maintain] into a concrete strategy for this transaction
-    ([Self_maintain] survives only when the certificate applies). *)
-val resolve_strategy :
-  options ->
-  View.t ->
-  db:Database.t ->
-  net:Transaction.net ->
-  strategy
-
-(** Like {!resolve_strategy} but always evaluates {!Advisor.decide} and
-    returns the decision, so callers can record the prediction against
-    the measured cost even when the strategy is forced. *)
+(** [resolve_with_decision options view ~db ~net] resolves [Adaptive]
+    and [Self_maintain] into a concrete strategy for this transaction
+    ([Self_maintain] survives only when the certificate applies).  It
+    always evaluates {!Advisor.decide} and returns the decision, so
+    callers can record the prediction against the measured cost even
+    when the strategy is forced. *)
 val resolve_with_decision :
   options ->
   View.t ->
@@ -73,10 +66,6 @@ val strategy_name : strategy -> string
 (** The calibration arm a concrete strategy executes ([Adaptive] has
     already been resolved by the time a sample is taken). *)
 val arm_of_strategy : strategy -> Advisor.arm
-
-(** [self_maintain_applies view ~net]: the view carries a certificate and
-    it covers this transaction's update sets. *)
-val self_maintain_applies : View.t -> net:Transaction.net -> bool
 
 (** Why a requested [Self_maintain] cannot run on this transaction —
     either the view has no certificate or the certificate does not cover
@@ -123,10 +112,6 @@ val empty_report : view_name:string -> strategy_used:strategy -> report
 
 val pp_report : Format.formatter -> report -> unit
 
-(** Feed a finished report into the [ivm_*] metrics of the default
-    {!Obs.Metrics} registry; no-op while telemetry is off. *)
-val record_report : report -> unit
-
 (** [maintain_differential ~options ~decision view ~db ~net] runs
     {!view_delta} and applies the result to the view, returning the report
     with [apply_ns]/[total_ns] filled, metrics recorded, and — when
@@ -149,7 +134,7 @@ val maintain_differential :
     view delta from [net] plus the current materialization under the
     {!Database.probe_reads} probe and applies it.  No [db] argument — the
     whole point.  Precondition: the view's certificate covers [net]
-    (callers resolve with {!resolve_strategy} first).
+    (callers resolve with {!resolve_with_decision} first).
     @raise Self_maintain.Base_read_detected when the evaluation touched the
     base-relation catalog after all (a certificate bug; fails the commit
     loudly instead of corrupting the view). *)

@@ -39,6 +39,14 @@ let empty_stats =
 
 let add_report stats (r : Maintenance.report) =
   let used = Maintenance.arm_of_strategy r.Maintenance.strategy_used in
+  let count b = if b then 1 else 0 in
+  let decisions, agreements, differential_cost, recompute_cost =
+    match r.Maintenance.advisor with
+    | Some d ->
+      (1, count (d.Advisor.choose = used), d.Advisor.differential_cost,
+       d.Advisor.recompute_cost)
+    | None -> (0, 0, 0.0, 0.0)
+  in
   {
     commits = stats.commits + 1;
     rows_evaluated = stats.rows_evaluated + r.Maintenance.rows_evaluated;
@@ -46,32 +54,15 @@ let add_report stats (r : Maintenance.report) =
     screened_kept = stats.screened_kept + r.Maintenance.screened_kept;
     tuples_inserted = stats.tuples_inserted + r.Maintenance.delta_inserts;
     tuples_deleted = stats.tuples_deleted + r.Maintenance.delta_deletes;
-    recomputations =
-      (stats.recomputations + if used = Advisor.Recompute then 1 else 0);
+    recomputations = stats.recomputations + count (used = Advisor.Recompute);
     self_maintained =
-      (stats.self_maintained + if used = Advisor.Self_maintain then 1 else 0);
+      stats.self_maintained + count (used = Advisor.Self_maintain);
     maintenance_ns = stats.maintenance_ns + r.Maintenance.total_ns;
-    advisor_decisions =
-      (stats.advisor_decisions
-      + match r.Maintenance.advisor with Some _ -> 1 | None -> 0);
-    advisor_agreements =
-      (stats.advisor_agreements
-      +
-      match r.Maintenance.advisor with
-      | Some d when d.Advisor.choose = used -> 1
-      | Some _ | None -> 0);
+    advisor_decisions = stats.advisor_decisions + decisions;
+    advisor_agreements = stats.advisor_agreements + agreements;
     predicted_differential_cost =
-      (stats.predicted_differential_cost
-      +.
-      match r.Maintenance.advisor with
-      | Some d -> d.Advisor.differential_cost
-      | None -> 0.0);
-    predicted_recompute_cost =
-      (stats.predicted_recompute_cost
-      +.
-      match r.Maintenance.advisor with
-      | Some d -> d.Advisor.recompute_cost
-      | None -> 0.0);
+      stats.predicted_differential_cost +. differential_cost;
+    predicted_recompute_cost = stats.predicted_recompute_cost +. recompute_cost;
   }
 
 type quarantine = {
@@ -101,14 +92,6 @@ exception
     backtrace : string;
     outcomes : (string * view_outcome) list;
   }
-
-let () =
-  Printexc.register_printer (function
-    | Commit_failed { phase; error; outcomes; _ } ->
-      Some
-        (Printf.sprintf "Manager.Commit_failed(phase %s, %d views: %s)" phase
-           (List.length outcomes) error)
-    | _ -> None)
 
 type entry = {
   view : View.t;
@@ -150,6 +133,10 @@ exception Replayed of string
 
 let () =
   Printexc.register_printer (function
+    | Commit_failed { phase; error; outcomes; _ } ->
+      Some
+        (Printf.sprintf "Manager.Commit_failed(phase %s, %d views: %s)" phase
+           (List.length outcomes) error)
     | Replayed msg -> Some msg
     | _ -> None)
 
@@ -163,7 +150,6 @@ type t = {
   pool : Exec.Pool.t;
   policy : Resilience.Policy.t;
   retry : Resilience.Retry.policy;
-  schedule : Resilience.Retry.schedule;
   mutable commit_seq : int;
   mutable entries : entry list; (* in definition order *)
   mutable durable : durable option;
@@ -177,10 +163,6 @@ let forced_error mgr name =
   | Some r -> List.assoc_opt name r.forced
   | None -> None
 
-(* Explicit argument beats the IVM_DOMAINS environment override beats the
-   sequential default.  Pools come from the process-wide shared registry:
-   managers are cheap and numerous (tests create hundreds), so they must
-   not own worker domains. *)
 (* Base relations join the catalog by reference, so base updates are
    visible through both databases; relations registered into the user's
    database after the manager was created are picked up lazily. *)
@@ -192,15 +174,16 @@ let sync_catalog mgr =
     (Database.names mgr.db)
 
 let create ?domains ?(policy = Resilience.Policy.Abort)
-    ?(retry = Resilience.Retry.default)
-    ?(heal_schedule = Resilience.Retry.default_schedule) ?flight_dir
-    ?durability db =
+    ?(retry = Resilience.Retry.default) ?durability db =
+  (* Explicit argument beats the IVM_DOMAINS environment override beats
+     the sequential default.  Pools come from the process-wide shared
+     registry: managers are cheap and numerous (tests create hundreds),
+     so they must not own worker domains. *)
   let domains =
     match domains with
     | Some d -> max 1 d
     | None -> Option.value ~default:1 (Exec.Pool.env_domains ())
   in
-  Option.iter (fun dir -> Resilience.Flight.set_dir (Some dir)) flight_dir;
   let durable =
     Option.map
       (fun (config : Durability.Config.t) ->
@@ -233,7 +216,6 @@ let create ?domains ?(policy = Resilience.Policy.Abort)
       pool = Exec.Pool.shared ~domains;
       policy;
       retry;
-      schedule = heal_schedule;
       commit_seq = 0;
       entries = [];
       durable;
@@ -378,14 +360,16 @@ let health_of_state = function
    [write_checkpoint] encodes it on the spot, [capture_state] copies it.
    Per-view stats are observability, not state, and are deliberately
    not durable. *)
+let wal_lsn mgr =
+  match mgr.durable with
+  | Some d -> Durability.Wal.last_lsn d.wal
+  | None -> 0
+
 let live_state mgr =
   sync_catalog mgr;
   {
     Durability.State.seq = mgr.commit_seq;
-    lsn =
-      (match mgr.durable with
-      | Some d -> Durability.Wal.last_lsn d.wal
-      | None -> 0);
+    lsn = wal_lsn mgr;
     relations =
       List.map
         (fun name -> (name, Database.find mgr.db name))
@@ -508,13 +492,6 @@ let wal_append mgr record =
 
 let durable mgr = Option.is_some mgr.durable
 
-let wal_lsn mgr =
-  match mgr.durable with
-  | Some d -> Durability.Wal.last_lsn d.wal
-  | None -> 0
-
-let heal_schedule mgr = mgr.schedule
-
 let require_recovered ~op mgr =
   match mgr.durable with
   | Some d when d.needs_recovery && not (replaying mgr) ->
@@ -554,15 +531,17 @@ let net_touches view net =
       | None -> false)
     (View.spj view).Query.Spj.sources
 
+(* The relations (base relations or parent views) a view reads. *)
+let sources e =
+  List.sort_uniq String.compare
+    (List.map
+       (fun (s : Query.Spj.source) -> s.Query.Spj.relation)
+       (View.spj e.view).Query.Spj.sources)
+
 (* Accumulate a transaction's net effect into a deferred view's pending
    deltas, composing with what is already queued. *)
 let accumulate mgr e net =
-  let relations_of_view =
-    List.sort_uniq String.compare
-      (List.map
-         (fun (s : Query.Spj.source) -> s.Query.Spj.relation)
-         (View.spj e.view).Query.Spj.sources)
-  in
+  let relations_of_view = sources e in
   List.iter
     (fun (relation, (inserts, deletes)) ->
       if List.mem relation relations_of_view then begin
@@ -589,7 +568,11 @@ let effective_policy mgr =
   | Some { forced = _ :: _ } -> Resilience.Policy.Quarantine
   | Some { forced = [] } | None -> mgr.policy
 
-let protected_ mgr = effective_policy mgr <> Resilience.Policy.Unprotected
+(* Whether to journal is the one failure-policy choice made outside
+   [settle]: every policy but [Unprotected] keeps an undo log. *)
+let new_journal mgr =
+  if effective_policy mgr = Resilience.Policy.Unprotected then None
+  else Some (Resilience.Journal.create ())
 
 (* One provenance view record from a finished maintenance report — plain
    strings only, the obs layer cannot see core's types. *)
@@ -628,6 +611,24 @@ let provenance_net net =
       (relation, (List.length inserts, List.length deletes)))
     net
 
+(* The one provenance-record constructor: [commit], [refresh] and
+   [recover] records differ only in these fields. *)
+let record_provenance mgr ~kind ~outcome ?failing_phase ?(net = [])
+    ?(views = []) ?(events = []) ?journal_bytes total_ns =
+  Obs.Provenance.record
+    {
+      Obs.Provenance.seq = mgr.commit_seq;
+      kind;
+      outcome;
+      failing_phase;
+      domains = mgr.domains;
+      net;
+      views = List.map provenance_view views;
+      events;
+      journal_bytes;
+      total_ns;
+    }
+
 (* Differential drain of a view's composed pending deltas — the
    snapshot-refresh core, shared by deferred [refresh] and the
    quarantine self-heal.  The current base state S is S0 U i_N - d_N
@@ -665,9 +666,8 @@ let drain_deltas mgr e ?journal pending =
   let decision = Advisor.decide e.view ~db:mgr.catalog ~net in
   let journal =
     match journal with
-    | Some _ as j -> j
-    | None ->
-      if protected_ mgr then Some (Resilience.Journal.create ()) else None
+    | Some _ -> journal
+    | None -> new_journal mgr
   in
   let totals =
     List.map
@@ -708,6 +708,13 @@ let drain_deltas mgr e ?journal pending =
 
 let drain_pending mgr e = drain_deltas mgr e e.pending
 
+(* A stale view just brought to a fresh state: its bank is spent and it
+   is healthy again; [kind] labels the repair metric. *)
+let revive e ~kind =
+  e.pending <- [];
+  e.health <- Healthy;
+  Obs.Metrics.add "ivm_resilience_repairs_total" ~labels:[ ("kind", kind) ] 1
+
 (* After a quarantined view heals (or is repaired) by jumping straight
    to a fresh state, its dependents never saw the jump as a delta; the
    always-correct fallback brings the whole subtree back in one pass,
@@ -721,14 +728,8 @@ let refresh_dependents mgr name =
       if List.exists (fun p -> List.mem p !affected) e.parents then begin
         affected := View.name e.view :: !affected;
         View.recompute e.view mgr.catalog;
-        e.pending <- [];
-        match e.health with
-        | Healthy -> ()
-        | Quarantined _ | Disabled _ ->
-          e.health <- Healthy;
-          Obs.Metrics.add "ivm_resilience_repairs_total"
-            ~labels:[ ("kind", "cascade") ]
-            1
+        if e.health = Healthy then e.pending <- []
+        else revive e ~kind:"cascade"
       end)
     mgr.entries
 
@@ -738,10 +739,11 @@ let refresh_dependents mgr name =
    always-correct fallback, which also absorbs corruption the
    differential path cannot explain.  A round that exhausts both
    budgets counts one heal failure and pushes the next automatic
-   attempt [Retry.heal_delay] commits out (the configurable backoff
-   ladder); [schedule.rounds] failures disable the view until an
-   explicit [repair].  Explicit [heal]/[consistent] calls bypass the
-   backoff gate — only the commit-start auto-heal honours it. *)
+   attempt [Retry.heal_delay] commits out (the backoff ladder of
+   [Retry.default_schedule]); its [rounds] failures disable the view
+   until an explicit [repair].  Explicit [heal]/[consistent] calls
+   bypass the backoff gate — only the commit-start auto-heal honours
+   it. *)
 let heal_entry mgr e =
   match e.health with
   | Healthy -> true
@@ -762,12 +764,8 @@ let heal_entry mgr e =
       ~args:(fun () -> [ ("view", Obs.Json.Str (View.name e.view)) ])
       (fun () ->
         let finish report =
-          e.pending <- [];
           e.stats <- add_report e.stats report;
-          e.health <- Healthy;
-          Obs.Metrics.add "ivm_resilience_repairs_total"
-            ~labels:[ ("kind", "self_heal") ]
-            1;
+          revive e ~kind:"self_heal";
           (* The heal moved this view without emitting a delta; dependents
              must follow. *)
           refresh_dependents mgr (View.name e.view);
@@ -792,6 +790,7 @@ let heal_entry mgr e =
           with
           | Ok report -> finish report
           | Error (err, bt) ->
+            let schedule = Resilience.Retry.default_schedule in
             let failures = q.heal_failures + 1 in
             let q' =
               {
@@ -801,35 +800,504 @@ let heal_entry mgr e =
                 heal_failures = failures;
                 next_eligible =
                   mgr.commit_seq + 1
-                  + Resilience.Retry.heal_delay mgr.schedule ~failures;
+                  + Resilience.Retry.heal_delay schedule ~failures;
               }
             in
             e.health <-
-              (if failures >= mgr.schedule.Resilience.Retry.rounds then
+              (if failures >= schedule.Resilience.Retry.rounds then
                  Disabled q'
                else Quarantined q');
             false))
 
-(* Heal with WAL logging: a standalone [Heal] record lands whenever the
-   attempt changed the view's health (success or a consumed failure
-   round), so recovery can reproduce the transition. *)
-let heal_logged mgr e =
-  ensure_baseline mgr;
+(* One heal round plus the health transition it made, if any — what the
+   WAL logs so recovery can reproduce it: a success or a consumed
+   failure round.  Shared by the commit-start auto-heal (which logs the
+   transitions inside its [Commit] record) and explicit [heal] (which
+   logs a standalone [Heal] record). *)
+let heal_transition mgr e =
   let before = e.health in
   let healed = heal_entry mgr e in
-  if before <> e.health then
-    wal_append mgr
-      (Durability.Record.Heal
-         {
-           seq = mgr.commit_seq;
-           change =
-             {
-               Durability.Record.view = View.name e.view;
-               healed;
-               health = health_to_state e.health;
-             };
-         });
+  ( healed,
+    if before <> e.health then
+      Some
+        {
+          Durability.Record.view = View.name e.view;
+          healed;
+          health = health_to_state e.health;
+        }
+    else None )
+
+let heal_logged mgr e =
+  ensure_baseline mgr;
+  let healed, change = heal_transition mgr e in
+  Option.iter
+    (fun change ->
+      wal_append mgr (Durability.Record.Heal { seq = mgr.commit_seq; change }))
+    change;
   healed
+
+(* ------------------------------------------------------------------ *)
+(* Commit: Algorithm 5.1 as stages over one attempt record.            *)
+(*   auto-heal -> net -> plan -> base deletes -> differential and      *)
+(*   self-maintain tasks -> base inserts -> recompute tasks ->         *)
+(*   dependents -> finish (or abort)                                   *)
+
+(* Everything one commit attempt accumulates.  Provenance wants the
+   events and the reports of views that finished, so even an aborted
+   commit's record shows what completed before the failing phase; the
+   WAL wants the auto-heal transitions and each participating view's
+   outcome — exactly one [Commit] record lands per attempt (the abort
+   path logs heals + an empty net).  The mutable lists are
+   newest-first. *)
+type attempt = {
+  net : Transaction.net;
+  journal : Resilience.Journal.t option;
+  heals : Durability.Record.health_change list; (* in definition order *)
+  resolved :
+    (entry * Maintenance.strategy * Advisor.decision * string option) list;
+      (* the base views taking part: strategy, decision and the
+         self-maintain fallback reason *)
+  applied : (string, Delta.t) Hashtbl.t;
+      (* view -> the non-empty delta this commit applied to it *)
+  t_start : int;
+  mutable events : Obs.Provenance.event list;
+  mutable ok : (entry * Maintenance.report) list;
+  mutable quarantined : (entry * quarantine * Durability.Record.outcome) list;
+}
+
+(* One view's maintenance in this commit, run against its own
+   sub-journal; [cost] is the advisor's prediction in its units. *)
+type task = {
+  entry : entry;
+  sub : Resilience.Journal.t option;
+  cost : float;
+  maintain : unit -> Maintenance.report;
+}
+
+let event att ~phase ~kind detail =
+  att.events <- { Obs.Provenance.phase; kind; detail } :: att.events
+
+(* Durable start of an attempt, then the auto-heal: views quarantined by
+   an earlier commit self-heal before this one runs, so a healed view
+   takes part in it normally — gated by the backoff ladder's
+   eligibility point.  Replay skips both: the recorded transitions are
+   re-applied by [recover] itself. *)
+let auto_heal mgr =
+  if replaying mgr then []
+  else begin
+    if Option.is_some mgr.durable then begin
+      require_recovered ~op:"Manager.commit" mgr;
+      ensure_baseline mgr;
+      (* Crash point before anything moves: a simulated death here
+         recovers to the pre-commit state. *)
+      Resilience.Fault.point "wal-apply"
+    end;
+    List.filter_map
+      (fun e ->
+        match e.health with
+        | Quarantined q when mgr.commit_seq + 1 >= q.next_eligible ->
+          snd (heal_transition mgr e)
+        | Healthy | Quarantined _ | Disabled _ -> None)
+      mgr.entries
+  end
+
+(* Resolve strategies against the pre-state, before any part of the net
+   effect is installed.  Only immediate, healthy views the transaction
+   actually touches take part: untouched views skip maintenance
+   entirely (their report and stats are unchanged), and quarantined
+   views are already stale — their share of the net accumulates for the
+   self-heal instead.  The advisor runs for every participant — also
+   under forced strategies — so the cost model gathers calibration data
+   on every commit.  Dependent (child) views never join the base phases:
+   their input is their parents' committed deltas, which only exist
+   after the parents have been maintained — the dependents stage. *)
+let plan mgr net =
+  List.filter_map
+    (fun e ->
+      match (e.mode, e.health) with
+      | Immediate, Healthy when e.parents = [] && net_touches e.view net ->
+        let strategy, decision =
+          Maintenance.resolve_with_decision e.options e.view ~db:mgr.catalog
+            ~net
+        in
+        (* Provenance wants to know when a requested self-maintenance
+           could not run on this commit. *)
+        let fallback =
+          match e.options.Maintenance.strategy with
+          | Maintenance.Self_maintain ->
+            Maintenance.self_maintain_fallback e.view ~net
+          | _ -> None
+        in
+        Some (e, strategy, decision, fallback)
+      | (Immediate | Deferred), (Healthy | Quarantined _ | Disabled _) -> None)
+    mgr.entries
+
+(* Per-view outcomes for [Commit_failed]: what each resolved view was
+   doing when the commit died — a view that finished any earlier task is
+   rolled back, not unreached — plus a failing dependent, which is not
+   among the resolved base views. *)
+let outcomes att ~failures =
+  let outcome e =
+    match List.find_opt (fun (f, _, _) -> f == e) failures with
+    | Some (_, err, bt) ->
+      Faulted
+        {
+          error = Printexc.to_string err;
+          backtrace = Printexc.raw_backtrace_to_string bt;
+        }
+    | None ->
+      if List.exists (fun (o, _) -> o == e) att.ok then Rolled_back
+      else Unreached
+  in
+  let resolved = List.map (fun (e, _, _, _) -> e) att.resolved in
+  List.map
+    (fun e -> (View.name e.view, outcome e))
+    (resolved
+    @ List.filter_map
+        (fun (e, _, _) -> if List.memq e resolved then None else Some e)
+        failures)
+
+(* A failure anywhere in the pipeline rolls the whole commit back to the
+   exact pre-commit state and raises [Commit_failed]; under
+   [Unprotected] there is no journal and the original exception escapes
+   mid-pipeline (the legacy torn behaviour) before getting here. *)
+let abort mgr att ~phase ~error ~bt ~failures =
+  let journal_bytes = Option.map Resilience.Journal.bytes att.journal in
+  Option.iter
+    (fun j ->
+      Obs.Span.with_span "rollback"
+        ~args:(fun () -> [ ("phase", Obs.Json.Str phase) ])
+        (fun () -> Resilience.Journal.rollback j);
+      Obs.Metrics.add "ivm_resilience_rollbacks_total"
+        ~labels:[ ("scope", "commit") ]
+        1;
+      event att ~phase ~kind:"rollback"
+        (Printf.sprintf "commit journal rolled back (%d bytes)"
+           (Option.value ~default:0 journal_bytes)))
+    att.journal;
+  event att ~phase ~kind:"abort" (Printexc.to_string error);
+  record_provenance mgr ~kind:"commit" ~outcome:"aborted" ~failing_phase:phase
+    ~net:(provenance_net att.net)
+    ~views:(List.rev_map snd att.ok)
+    ~events:(List.rev att.events) ?journal_bytes
+    (Obs.Clock.now_ns () - att.t_start);
+  (* Post-mortem to disk while the failure context is still whole: the
+     dump carries this aborted record (failing phase included) plus the
+     ring of commits that led up to it. *)
+  ignore (Resilience.Flight.dump ~reason:("commit-failed-" ^ phase));
+  (* The aborted attempt still consumed heal rounds and a sequence
+     number; its record carries those and nothing else. *)
+  wal_append mgr
+    (Durability.Record.Commit
+       { seq = mgr.commit_seq; heals = att.heals; net = []; outcomes = [] });
+  raise
+    (Commit_failed
+       {
+         phase;
+         error = Printexc.to_string error;
+         backtrace = Printexc.raw_backtrace_to_string bt;
+         outcomes = outcomes att ~failures;
+       })
+
+(* Install one half of the net effect into the base relations; a
+   failure there aborts whenever the commit journals. *)
+let apply_base mgr att ~phase apply =
+  match apply ?journal:att.journal mgr.db att.net with
+  | () -> ()
+  | exception error when Option.is_some att.journal ->
+    let bt = Printexc.get_raw_backtrace () in
+    abort mgr att ~phase ~error ~bt ~failures:[]
+
+(* Banked as quarantined at [finish]; until then a view stays as healthy
+   as it was, so an aborted commit leaves health untouched. *)
+let quarantine mgr att e err bt outcome =
+  att.quarantined <-
+    ( e,
+      {
+        error = Printexc.to_string err;
+        backtrace = Printexc.raw_backtrace_to_string bt;
+        since = mgr.commit_seq;
+        heal_failures = 0;
+        (* A fresh quarantine is eligible for its first heal on the very
+           next commit; backoff starts after that first round fails. *)
+        next_eligible = mgr.commit_seq + 1;
+      },
+      outcome )
+    :: att.quarantined
+
+let quarantined_now att e = List.exists (fun (q, _, _) -> q == e) att.quarantined
+
+(* The one per-view task runner, base views and dependents alike. *)
+let run_task mgr t =
+  match
+    (match forced_error mgr (View.name t.entry.view) with
+    | Some err ->
+      (* Scripted replay: this view faulted live; reproduce the recorded
+         quarantine instead of maintaining. *)
+      raise (Replayed err)
+    | None -> ());
+    Resilience.Fault.point "task";
+    t.maintain ()
+  with
+  | report -> Ok report
+  | exception err -> Error (err, Printexc.get_raw_backtrace ())
+
+(* Settle a stage's task results in submission order.  This is the only
+   code that acts on the failure policy (beyond [new_journal]'s choice
+   of whether to journal): a success merges its sub-journal into the
+   commit's; a failure escapes mid-pipeline ([Unprotected]), joins the
+   commit-wide rollback once every sibling has settled ([Abort] — its
+   sub-journal joins the main journal so the global rollback undoes
+   this view's partial work too), or rolls back its own sub-journal and
+   quarantines the view while its siblings commit ([Quarantine]). *)
+let settle mgr att ~phase results =
+  let merge sub =
+    match (att.journal, sub) with
+    | Some main, Some sub -> Resilience.Journal.append ~into:main sub
+    | _ -> ()
+  in
+  let failures =
+    List.fold_left
+      (fun failures (t, result) ->
+        let name = View.name t.entry.view in
+        match (result, effective_policy mgr) with
+        | Ok (report : Maintenance.report), _ ->
+          merge t.sub;
+          (match report.Maintenance.delta with
+          | Some d when not (Delta.is_empty d) ->
+            Hashtbl.replace att.applied name d
+          | Some _ | None -> ());
+          att.ok <- (t.entry, report) :: att.ok;
+          failures
+        | Error (err, bt), Resilience.Policy.Unprotected ->
+          Printexc.raise_with_backtrace err bt
+        | Error (err, bt), Resilience.Policy.Abort ->
+          merge t.sub;
+          (t.entry, err, bt) :: failures
+        | Error (err, bt), Resilience.Policy.Quarantine ->
+          Option.iter
+            (fun sub ->
+              Obs.Span.with_span "rollback"
+                ~args:(fun () -> [ ("view", Obs.Json.Str name) ])
+                (fun () -> Resilience.Journal.rollback sub);
+              Obs.Metrics.add "ivm_resilience_rollbacks_total"
+                ~labels:[ ("scope", "view") ]
+                1;
+              event att ~phase ~kind:"view-rollback" name)
+            t.sub;
+          event att ~phase ~kind:"quarantine"
+            (name ^ ": " ^ Printexc.to_string err);
+          quarantine mgr att t.entry err bt
+            (Durability.Record.Faulted (Printexc.to_string err));
+          failures)
+      [] results
+  in
+  match List.rev failures with
+  | [] -> ()
+  | (_, error, bt) :: _ as failures -> abort mgr att ~phase ~error ~bt ~failures
+
+(* Task-granularity threshold, in the advisor's tuple-touch cost units
+   (~10-50 ns each after calibration): consecutive view tasks predicted
+   cheaper than this are coalesced into one pool submission, so a
+   transaction touching many tiny views pays submission overhead once
+   per bundle instead of once per view — the per-task overhead E18
+   showed dominating.  A task with a big predicted cost still travels
+   alone. *)
+let coalesce_threshold = 20_000
+
+(* One base view's task.  Self-maintained views share the differential
+   stage (both need the deletions-applied, insertions-pending base state
+   — the self-maintained task only to leave it untouched, which the read
+   probe inside [maintain_self_maintain] enforces).  A recompute yields
+   no delta unless asked; parents of dependent views ask, so the
+   dependents stage has something to consume. *)
+let base_task mgr att (e, strategy, (d : Advisor.decision), fallback) =
+  let sub = new_journal mgr in
+  let decision = Some d in
+  let task cost maintain = { entry = e; sub; cost; maintain } in
+  match strategy with
+  | Maintenance.Differential | Maintenance.Adaptive ->
+    task d.Advisor.differential_cost (fun () ->
+        Maintenance.maintain_differential ~options:e.options ~pool:mgr.pool
+          ?journal:sub ?fallback ~decision e.view ~db:mgr.catalog ~net:att.net)
+  | Maintenance.Self_maintain ->
+    task
+      (Option.value ~default:d.Advisor.differential_cost
+         d.Advisor.self_maintain_cost)
+      (fun () ->
+        Maintenance.maintain_self_maintain ?journal:sub ~decision e.view
+          ~net:att.net)
+  | Maintenance.Recompute ->
+    let want_delta =
+      List.exists (fun c -> List.mem (View.name e.view) c.parents) mgr.entries
+    in
+    task d.Advisor.recompute_cost (fun () ->
+        Maintenance.maintain_recompute ?journal:sub ~want_delta ~decision
+          e.view ~db:mgr.catalog)
+
+(* Fan a stage's tasks out over the pool: once deletions are installed
+   each task only reads base relations and writes its own view's
+   materialization (through its own sub-journal), so tasks are
+   data-independent.  Every task runs to a result — one failing view
+   must not abandon its siblings' futures — and journal merging, stats
+   and health transitions stay on the committing domain, in definition
+   order, after the barrier, which keeps commit fully deterministic. *)
+let run_tasks mgr att ~phase views =
+  let tasks = List.map (base_task mgr att) views in
+  let results =
+    List.concat
+      (Exec.Pool.map_list mgr.pool
+         (List.map (run_task mgr))
+         (Exec.Pool.coalesce
+            ~cost:(fun t -> int_of_float (Float.max 0.0 (Float.min t.cost 1e15)))
+            ~threshold:coalesce_threshold tasks))
+  in
+  settle mgr att ~phase (List.combine tasks results)
+
+(* A dependent's input this commit: each parent's applied delta, plus
+   the base net of any base relation it also reads. *)
+let child_inputs mgr att e =
+  List.filter_map
+    (fun relation ->
+      match Hashtbl.find_opt att.applied relation with
+      | Some d -> Some (relation, d)
+      | None ->
+        if List.mem relation e.parents then None
+        else (
+          match List.assoc_opt relation att.net with
+          | Some (inserts, deletes) when inserts <> [] || deletes <> [] ->
+            let schema = Relation.schema (Database.find mgr.catalog relation) in
+            Some (relation, Delta.of_lists schema (inserts, deletes))
+          | Some _ | None -> None))
+    (sources e)
+
+(* Bank a dependent's inputs for its self-heal drain: counted deltas,
+   merged as counts ([accumulate] composes set deltas instead). *)
+let bank_inputs e inputs =
+  List.iter
+    (fun (relation, (d : Delta.t)) ->
+      let composed =
+        match List.assoc_opt relation e.pending with
+        | None -> Delta.copy d
+        | Some existing ->
+          Delta.merge_into ~into:existing d;
+          Delta.normalize existing
+      in
+      e.pending <- (relation, composed) :: List.remove_assoc relation e.pending)
+    inputs
+
+(* Dependents stage: each view over views consumes its parents'
+   committed deltas of this commit (and the base net, for mixed
+   definitions), exactly once, in definition order — a parent is always
+   defined (hence maintained) before its children, so a grandchild sees
+   its parent's delta from this same pass.  The drain rewinds the
+   already-applied insertions, so the truth table evaluates against the
+   parents' pre-commit state.  Sequential on the committing domain: the
+   rewind mutates shared catalog relations, and the chain through a
+   tower is inherently ordered.
+
+   A view that missed this commit — unhealthy before it, or quarantined
+   during it — is stale.  A healthy child of such a view cannot be
+   maintained — the parent delta it needs was never produced — and
+   whatever it holds is stale the moment the parent is, so staleness
+   cascades down the tower: the child quarantines too and the parent's
+   heal recomputes the subtree. *)
+let maintain_dependents mgr att =
+  let stale name =
+    let e = entry mgr name in
+    e.health <> Healthy || quarantined_now att e
+  in
+  List.iter
+    (fun e ->
+      if e.parents <> [] then begin
+        let inputs = child_inputs mgr att e in
+        match List.filter stale e.parents with
+        | _ :: _ as stale_parents ->
+          bank_inputs e inputs;
+          if e.health = Healthy then begin
+            let detail =
+              Printf.sprintf "%s: stale parent %s" (View.name e.view)
+                (String.concat ", " stale_parents)
+            in
+            event att ~phase:"dependents" ~kind:"quarantine" detail;
+            (* A cascade quarantine re-emerges organically from the
+               replayed parents; the record is informational. *)
+            quarantine mgr att e (Failure detail) (Printexc.get_callstack 0)
+              (Durability.Record.Cascade detail)
+          end
+        | [] when inputs = [] -> ()
+        | [] ->
+          if e.health = Healthy then begin
+            let sub = new_journal mgr in
+            let t =
+              {
+                entry = e;
+                sub;
+                cost = 0.0;
+                maintain = (fun () -> drain_deltas mgr e ?journal:sub inputs);
+              }
+            in
+            settle mgr att ~phase:"dependents" [ (t, run_task mgr t) ]
+          end;
+          (* Already stale, or quarantined just now: bank this commit's
+             inputs for the self-heal drain instead of maintaining on top
+             of a rolled-back state. *)
+          if e.health <> Healthy || quarantined_now att e then
+            bank_inputs e inputs
+      end)
+    mgr.entries
+
+(* The whole pipeline succeeded (or degraded to per-view quarantines):
+   only now do stats and health transitions land, so an aborted commit
+   leaves them untouched. *)
+let finish mgr att =
+  let ok = List.rev att.ok and quarantined = List.rev att.quarantined in
+  List.iter (fun (e, report) -> e.stats <- add_report e.stats report) ok;
+  List.iter
+    (fun (e, q, _) ->
+      e.health <- Quarantined q;
+      Obs.Metrics.add "ivm_resilience_quarantines_total"
+        ~labels:[ ("view", View.name e.view) ]
+        1)
+    quarantined;
+  (* Deferred views bank the net for their next refresh; quarantined
+     views (old and new) bank it for the self-heal's differential drain.
+     Dependent views banked their inputs (parent deltas included) in the
+     dependents stage already. *)
+  List.iter
+    (fun e ->
+      if e.parents = [] then
+        match (e.mode, e.health) with
+        | Deferred, _ | Immediate, Quarantined _ -> accumulate mgr e att.net
+        | Immediate, (Healthy | Disabled _) -> ())
+    mgr.entries;
+  let journal_bytes = Option.map Resilience.Journal.bytes att.journal in
+  Option.iter (Obs.Metrics.observe "ivm_resilience_journal_bytes") journal_bytes;
+  let reports = List.map snd ok in
+  record_provenance mgr ~kind:"commit"
+    ~outcome:(if quarantined = [] then "committed" else "degraded")
+    ~net:(provenance_net att.net) ~views:reports
+    ~events:(List.rev att.events) ?journal_bytes
+    (Obs.Clock.now_ns () - att.t_start);
+  if quarantined <> [] then ignore (Resilience.Flight.dump ~reason:"quarantine");
+  (* Durability point: the commit exists once its record is framed,
+     checksummed and (policy permitting) fsynced.  Group commit is the
+     [Every n] fsync policy — netted concurrent writers already share
+     this one record, and [n] such records share one sync. *)
+  wal_append mgr
+    (Durability.Record.Commit
+       {
+         seq = mgr.commit_seq;
+         heals = att.heals;
+         net = att.net;
+         outcomes =
+           List.map
+             (fun (e, _) -> (View.name e.view, Durability.Record.Applied))
+             ok
+           @ List.map (fun (e, _, outcome) -> (View.name e.view, outcome))
+               quarantined;
+       });
+  reports
 
 let commit mgr txn =
   Obs.Span.with_span "commit"
@@ -840,575 +1308,37 @@ let commit mgr txn =
       ])
     (fun () ->
       let t_start = Obs.Clock.now_ns () in
-      (* Provenance accumulators: noteworthy pipeline events and the
-         reports of views that finished, so even an aborted commit's
-         record shows what completed before the failing phase. *)
-      let events = ref [] in
-      let completed : Maintenance.report list ref = ref [] in
-      let event ~phase ~kind detail =
-        events := { Obs.Provenance.phase; kind; detail } :: !events
-      in
-      (* WAL bookkeeping for this commit attempt: the health transitions
-         the commit-start auto-heal produced, and each participating
-         view's outcome.  Exactly one [Commit] record lands per attempt
-         (the abort path logs heals + an empty net). *)
-      let wal_heals : Durability.Record.health_change list ref = ref [] in
-      let wal_outcomes : (string * Durability.Record.outcome) list ref =
-        ref []
-      in
-      (match mgr.durable with
-      | Some _ when not (replaying mgr) ->
-        require_recovered ~op:"Manager.commit" mgr;
-        ensure_baseline mgr;
-        (* Crash point before anything moves: a simulated death here
-           recovers to the pre-commit state. *)
-        Resilience.Fault.point "wal-apply"
-      | Some _ | None -> ());
-      (* Views quarantined by an earlier commit self-heal before this
-         one runs, so a healed view takes part in it normally — gated by
-         the backoff ladder's eligibility point.  Replay skips the loop:
-         the recorded transitions are re-applied by [recover] itself. *)
-      if not (replaying mgr) then
-        List.iter
-          (fun e ->
-            match e.health with
-            | Quarantined q when mgr.commit_seq + 1 >= q.next_eligible ->
-              let before = e.health in
-              let healed = heal_entry mgr e in
-              if before <> e.health then
-                wal_heals :=
-                  {
-                    Durability.Record.view = View.name e.view;
-                    healed;
-                    health = health_to_state e.health;
-                  }
-                  :: !wal_heals
-            | Healthy | Quarantined _ | Disabled _ -> ())
-          mgr.entries;
+      let heals = auto_heal mgr in
       mgr.commit_seq <- mgr.commit_seq + 1;
       let net =
         Obs.Span.with_span "net"
           ~args:(fun () -> [ ("ops", Obs.Json.Int (List.length txn)) ])
           (fun () -> Transaction.net_effect mgr.db txn)
       in
-      let journal =
-        if protected_ mgr then Some (Resilience.Journal.create ()) else None
-      in
-      (* Resolve strategies against the pre-state, before any part of
-         the net effect is installed.  Only immediate, healthy views the
-         transaction actually touches take part: untouched views skip
-         maintenance entirely (their report and stats are unchanged),
-         and quarantined views are already stale — their share of the
-         net accumulates for the self-heal instead.  The advisor runs
-         for every participant — also under forced strategies — so the
-         cost model gathers calibration data on every commit. *)
-      (* Dependent (child) views never join the base phases: their input
-         is their parents' committed deltas, which only exist after the
-         parents have been maintained — the dependents phase below. *)
-      let resolved =
-        List.filter_map
-          (fun e ->
-            match (e.mode, e.health) with
-            | Deferred, _ | _, (Quarantined _ | Disabled _) -> None
-            | Immediate, Healthy when e.parents <> [] -> None
-            | Immediate, Healthy ->
-              if net_touches e.view net then
-                let strategy, decision =
-                  Maintenance.resolve_with_decision e.options e.view
-                    ~db:mgr.catalog ~net
-                in
-                (* Provenance wants to know when a requested
-                   self-maintenance could not run on this commit. *)
-                let fallback =
-                  match e.options.Maintenance.strategy with
-                  | Maintenance.Self_maintain ->
-                    Maintenance.self_maintain_fallback e.view ~net
-                  | _ -> None
-                in
-                Some (e, strategy, Some decision, fallback)
-              else None)
-          mgr.entries
-      in
-      (* A failure anywhere in the pipeline rolls the whole commit back
-         to the exact pre-commit state and raises [Commit_failed];
-         under [Unprotected] there is no journal and the original
-         exception escapes mid-pipeline (the legacy torn behaviour). *)
-      let abort ~phase ~error ~bt outcomes =
-        let journal_bytes = Option.map Resilience.Journal.bytes journal in
-        Option.iter
-          (fun j ->
-            Obs.Span.with_span "rollback"
-              ~args:(fun () -> [ ("phase", Obs.Json.Str phase) ])
-              (fun () -> Resilience.Journal.rollback j);
-            Obs.Metrics.add "ivm_resilience_rollbacks_total"
-              ~labels:[ ("scope", "commit") ]
-              1;
-            event ~phase ~kind:"rollback"
-              (Printf.sprintf "commit journal rolled back (%d bytes)"
-                 (Option.value ~default:0 journal_bytes)))
-          journal;
-        event ~phase ~kind:"abort" (Printexc.to_string error);
-        Obs.Provenance.record
-          {
-            Obs.Provenance.seq = mgr.commit_seq;
-            kind = "commit";
-            outcome = "aborted";
-            failing_phase = Some phase;
-            domains = mgr.domains;
-            net = provenance_net net;
-            views = List.map provenance_view !completed;
-            events = List.rev !events;
-            journal_bytes;
-            total_ns = Obs.Clock.now_ns () - t_start;
-          };
-        (* Post-mortem to disk while the failure context is still whole:
-           the dump carries this aborted record (failing phase included)
-           plus the ring of commits that led up to it. *)
-        ignore (Resilience.Flight.dump ~reason:("commit-failed-" ^ phase));
-        (* The aborted attempt still consumed heal rounds and a sequence
-           number; its record carries those and nothing else. *)
-        wal_append mgr
-          (Durability.Record.Commit
-             {
-               seq = mgr.commit_seq;
-               heals = List.rev !wal_heals;
-               net = [];
-               outcomes = [];
-             });
-        raise
-          (Commit_failed
-             {
-               phase;
-               error = Printexc.to_string error;
-               backtrace = Printexc.raw_backtrace_to_string bt;
-               outcomes;
-             })
-      in
-      (* Per-view outcomes for [Commit_failed]: what each resolved view
-         was doing when the commit died.  [succeeded] accumulates across
-         phases, so a recompute-phase failure reports the differential
-         phase's views as rolled back, not unreached. *)
-      let succeeded : entry list ref = ref [] in
-      let outcomes ~failures =
-        List.map
-          (fun (e, _, _, _) ->
-            let name = View.name e.view in
-            match List.find_opt (fun (f, _, _) -> f == e) failures with
-            | Some (_, err, bt) ->
-              ( name,
-                Faulted
-                  {
-                    error = Printexc.to_string err;
-                    backtrace = Printexc.raw_backtrace_to_string bt;
-                  } )
-            | None ->
-              if List.memq e !succeeded then (name, Rolled_back)
-              else (name, Unreached))
-          resolved
-      in
-      let base_phase ~phase f =
-        match f () with
-        | () -> ()
-        | exception exn when protected_ mgr ->
-          let bt = Printexc.get_raw_backtrace () in
-          abort ~phase ~error:exn ~bt (outcomes ~failures:[])
-      in
-      base_phase ~phase:"apply-deletes" (fun () ->
-          Maintenance.apply_deletes ?journal mgr.db net);
-      (* Fan the maintenance tasks out over the pool: once deletions are
-         installed each task only reads base relations and writes its
-         own view's materialization (through its own sub-journal), so
-         tasks are data-independent.  [map_list_results] awaits all of
-         them — one failing view must not abandon its siblings' futures
-         — and journal merging, stats and health transitions stay on the
-         committing domain, in definition order, after the barrier,
-         which keeps commit fully deterministic. *)
-      (* Task-granularity threshold, in the advisor's tuple-touch cost
-         units (~10-50 ns each after calibration): consecutive view
-         tasks predicted cheaper than this are coalesced into one pool
-         submission, so a transaction touching many tiny views pays
-         submission overhead once per bundle instead of once per view —
-         the per-task overhead E18 showed dominating.  A task with no
-         decision or a big predicted cost still travels alone. *)
-      let coalesce_threshold = 20_000 in
-      let task_cost (_, decision, _, kind, _) =
-        match decision with
-        | None -> coalesce_threshold
-        | Some (d : Advisor.decision) ->
-          let cost =
-            match kind with
-            | `Recompute -> d.Advisor.recompute_cost
-            | `Self_maintain ->
-              Option.value ~default:d.Advisor.differential_cost
-                d.Advisor.self_maintain_cost
-            | `Differential -> d.Advisor.differential_cost
-          in
-          int_of_float (Float.max 0.0 (Float.min cost 1e15))
-      in
-      let run_tasks ~phase tasks maintain =
-        let wrap ((e, _, _, _, _) as task) =
-          match
-            (match forced_error mgr (View.name e.view) with
-            | Some err ->
-              (* Scripted replay: this view faulted live; reproduce the
-                 recorded quarantine instead of maintaining. *)
-              raise (Replayed err)
-            | None -> ());
-            Resilience.Fault.point "task";
-            maintain task
-          with
-          | report -> Ok report
-          | exception err -> Error (err, Printexc.get_raw_backtrace ())
-        in
-        let results =
-          List.concat
-            (Exec.Pool.map_list mgr.pool
-               (fun group -> List.map wrap group)
-               (Exec.Pool.coalesce ~cost:task_cost
-                  ~threshold:coalesce_threshold tasks))
-        in
-        let oks = ref [] and failed = ref [] and quarantined = ref [] in
-        List.iter2
-          (fun (e, _, task_journal, _, _) result ->
-            match result with
-            | Ok report ->
-              (match (journal, task_journal) with
-              | Some main, Some sub -> Resilience.Journal.append ~into:main sub
-              | _ -> ());
-              oks := (e, report) :: !oks
-            | Error (err, bt) -> (
-              match effective_policy mgr with
-              | Resilience.Policy.Unprotected ->
-                if !failed = [] then failed := [ (e, err, bt) ]
-              | Resilience.Policy.Abort ->
-                (* The sub-journal joins the main journal so the global
-                   rollback undoes this view's partial work too. *)
-                (match (journal, task_journal) with
-                | Some main, Some sub -> Resilience.Journal.append ~into:main sub
-                | _ -> ());
-                failed := (e, err, bt) :: !failed
-              | Resilience.Policy.Quarantine ->
-                Option.iter
-                  (fun sub ->
-                    Obs.Span.with_span "rollback"
-                      ~args:(fun () ->
-                        [ ("view", Obs.Json.Str (View.name e.view)) ])
-                      (fun () -> Resilience.Journal.rollback sub);
-                    Obs.Metrics.add "ivm_resilience_rollbacks_total"
-                      ~labels:[ ("scope", "view") ]
-                      1;
-                    event ~phase ~kind:"view-rollback" (View.name e.view))
-                  task_journal;
-                event ~phase ~kind:"quarantine"
-                  (View.name e.view ^ ": " ^ Printexc.to_string err);
-                wal_outcomes :=
-                  ( View.name e.view,
-                    Durability.Record.Faulted (Printexc.to_string err) )
-                  :: !wal_outcomes;
-                quarantined := (e, err, bt) :: !quarantined))
-          tasks results;
-        let oks = List.rev !oks in
-        succeeded := !succeeded @ List.map fst oks;
-        completed := !completed @ List.map snd oks;
-        (match (effective_policy mgr, List.rev !failed) with
-        | _, [] -> ()
-        | Resilience.Policy.Unprotected, (_, err, bt) :: _ ->
-          Printexc.raise_with_backtrace err bt
-        | _, ((_, err, bt) :: _ as failures) ->
-          abort ~phase ~error:err ~bt (outcomes ~failures));
-        (oks, List.rev !quarantined)
-      in
-      let task_journal () =
-        if protected_ mgr then Some (Resilience.Journal.create ()) else None
-      in
-      (* Self-maintained views share the differential phase (both need
-         the deletions-applied, insertions-pending base state — the
-         self-maintained task only to leave it untouched, which the read
-         probe inside [maintain_self_maintain] enforces). *)
-      let differential_tasks =
-        List.filter_map
-          (fun (e, strategy, decision, fallback) ->
-            match strategy with
-            | Maintenance.Differential | Maintenance.Adaptive ->
-              Some (e, decision, task_journal (), `Differential, fallback)
-            | Maintenance.Self_maintain ->
-              Some (e, decision, task_journal (), `Self_maintain, fallback)
-            | Maintenance.Recompute -> None)
-          resolved
-      in
-      let diff_ok, diff_quarantined =
-        run_tasks ~phase:"maintain" differential_tasks
-          (fun (e, decision, task_journal, kind, fallback) ->
-            match kind with
-            | `Self_maintain ->
-              Maintenance.maintain_self_maintain ?journal:task_journal
-                ~decision e.view ~net
-            | `Differential ->
-              Maintenance.maintain_differential ~options:e.options
-                ~pool:mgr.pool ?journal:task_journal ?fallback ~decision e.view
-                ~db:mgr.catalog ~net)
-      in
-      base_phase ~phase:"apply-inserts" (fun () ->
-          Maintenance.apply_inserts ?journal mgr.db net);
-      let recompute_tasks =
-        List.filter_map
-          (fun (e, strategy, decision, fallback) ->
-            match strategy with
-            | Maintenance.Recompute ->
-              Some (e, decision, task_journal (), `Recompute, fallback)
-            | Maintenance.Differential | Maintenance.Adaptive
-            | Maintenance.Self_maintain ->
-              None)
-          resolved
-      in
-      (* A recompute yields no delta unless asked; parents of dependent
-         views ask, so the dependents phase has something to consume. *)
-      let dependent_parents =
-        List.sort_uniq String.compare
-          (List.concat_map (fun e -> e.parents) mgr.entries)
-      in
-      let has_dependents e = List.mem (View.name e.view) dependent_parents in
-      let rec_ok, rec_quarantined =
-        run_tasks ~phase:"recompute" recompute_tasks
-          (fun (e, decision, task_journal, _, _) ->
-            Maintenance.maintain_recompute ?journal:task_journal
-              ~want_delta:(has_dependents e) ~decision e.view ~db:mgr.catalog)
-      in
-      (* Dependents phase: each view over views consumes its parents'
-         committed deltas of this commit (and the base net, for mixed
-         definitions), exactly once, in definition order — a parent is
-         always defined (hence maintained) before its children, so a
-         grandchild sees its parent's delta from this same pass.  The
-         drain rewinds the already-applied insertions, so the truth
-         table evaluates against the parents' pre-commit state.
-         Sequential on the committing domain: the rewind mutates shared
-         catalog relations, and the chain through a tower is inherently
-         ordered. *)
-      let applied : (string, Delta.t) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun ((e : entry), (r : Maintenance.report)) ->
-          match r.Maintenance.delta with
-          | Some d when not (Delta.is_empty d) ->
-            Hashtbl.replace applied (View.name e.view) d
-          | Some _ | None -> ())
-        (diff_ok @ rec_ok);
-      let child_inputs e =
-        let sources =
-          List.sort_uniq String.compare
-            (List.map
-               (fun (s : Query.Spj.source) -> s.Query.Spj.relation)
-               (View.spj e.view).Query.Spj.sources)
-        in
-        List.filter_map
-          (fun relation ->
-            match Hashtbl.find_opt applied relation with
-            | Some d -> Some (relation, d)
-            | None ->
-              if List.mem relation e.parents then None
-              else (
-                match List.assoc_opt relation net with
-                | Some (inserts, deletes)
-                  when inserts <> [] || deletes <> [] ->
-                  let schema =
-                    Relation.schema (Database.find mgr.catalog relation)
-                  in
-                  Some (relation, Delta.of_lists schema (inserts, deletes))
-                | Some _ | None -> None))
-          sources
-      in
-      let bank_inputs e inputs =
-        List.iter
-          (fun (relation, (d : Delta.t)) ->
-            let composed =
-              match List.assoc_opt relation e.pending with
-              | None -> Delta.copy d
-              | Some existing ->
-                Delta.merge_into ~into:existing d;
-                Delta.normalize existing
-            in
-            e.pending <-
-              (relation, composed) :: List.remove_assoc relation e.pending)
-          inputs
-      in
-      let dep_ok = ref [] and dep_quarantined = ref [] in
-      (* Views that missed this commit: unhealthy before it, or faulted
-         (and were quarantined) during it.  A healthy child of such a
-         view cannot be maintained — the parent delta it needs was never
-         produced — and whatever it holds is stale the moment the parent
-         is, so staleness cascades down the tower: the child quarantines
-         too and the parent's heal recomputes the subtree. *)
-      let stale = ref [] in
-      List.iter
-        (fun e -> if e.health <> Healthy then stale := View.name e.view :: !stale)
-        mgr.entries;
-      List.iter
-        (fun ((e : entry), _, _) -> stale := View.name e.view :: !stale)
-        (diff_quarantined @ rec_quarantined);
-      List.iter
-        (fun e ->
-          if e.parents <> [] then begin
-            let inputs = child_inputs e in
-            let stale_parents =
-              List.filter (fun p -> List.mem p !stale) e.parents
-            in
-            if stale_parents <> [] then begin
-              if inputs <> [] then bank_inputs e inputs;
-              stale := View.name e.view :: !stale;
-              match e.health with
-              | Quarantined _ | Disabled _ -> ()
-              | Healthy ->
-                let detail =
-                  Printf.sprintf "%s: stale parent %s" (View.name e.view)
-                    (String.concat ", " stale_parents)
-                in
-                event ~phase:"dependents" ~kind:"quarantine" detail;
-                (* A cascade quarantine re-emerges organically from the
-                   replayed parents; the record is informational. *)
-                wal_outcomes :=
-                  (View.name e.view, Durability.Record.Cascade detail)
-                  :: !wal_outcomes;
-                dep_quarantined :=
-                  (e, Failure detail, Printexc.get_callstack 0)
-                  :: !dep_quarantined
-            end
-            else if inputs <> [] then begin
-              match e.health with
-              | Quarantined _ | Disabled _ ->
-                (* Already stale: bank this commit's inputs for the
-                   self-heal drain instead of maintaining on top of a
-                   rolled-back state. *)
-                bank_inputs e inputs
-              | Healthy -> (
-                let sub = task_journal () in
-                match
-                  (match forced_error mgr (View.name e.view) with
-                  | Some err -> raise (Replayed err)
-                  | None -> ());
-                  Resilience.Fault.point "task";
-                  drain_deltas mgr e ?journal:sub inputs
-                with
-                | report ->
-                  (match (journal, sub) with
-                  | Some main, Some s ->
-                    Resilience.Journal.append ~into:main s
-                  | _ -> ());
-                  (match report.Maintenance.delta with
-                  | Some d when not (Delta.is_empty d) ->
-                    Hashtbl.replace applied (View.name e.view) d
-                  | Some _ | None -> ());
-                  succeeded := !succeeded @ [ e ];
-                  completed := !completed @ [ report ];
-                  dep_ok := (e, report) :: !dep_ok
-                | exception err -> (
-                  let bt = Printexc.get_raw_backtrace () in
-                  (* [drain_deltas] rolled the sub-journal back before
-                     re-raising, so the child holds its pre-commit
-                     state. *)
-                  match effective_policy mgr with
-                  | Resilience.Policy.Unprotected ->
-                    Printexc.raise_with_backtrace err bt
-                  | Resilience.Policy.Abort ->
-                    abort ~phase:"dependents" ~error:err ~bt
-                      (outcomes ~failures:[]
-                      @ [
-                          ( View.name e.view,
-                            Faulted
-                              {
-                                error = Printexc.to_string err;
-                                backtrace =
-                                  Printexc.raw_backtrace_to_string bt;
-                              } );
-                        ])
-                  | Resilience.Policy.Quarantine ->
-                    event ~phase:"dependents" ~kind:"quarantine"
-                      (View.name e.view ^ ": " ^ Printexc.to_string err);
-                    wal_outcomes :=
-                      ( View.name e.view,
-                        Durability.Record.Faulted (Printexc.to_string err) )
-                      :: !wal_outcomes;
-                    bank_inputs e inputs;
-                    stale := View.name e.view :: !stale;
-                    dep_quarantined := (e, err, bt) :: !dep_quarantined))
-            end
-          end)
-        mgr.entries;
-      let dep_ok = List.rev !dep_ok
-      and dep_quarantined = List.rev !dep_quarantined in
-      (* The whole pipeline succeeded (or degraded to per-view
-         quarantines): only now do stats and health transitions land, so
-         an aborted commit leaves them untouched. *)
-      List.iter
-        (fun (e, report) -> e.stats <- add_report e.stats report)
-        (diff_ok @ rec_ok @ dep_ok);
-      List.iter
-        (fun (e, err, bt) ->
-          e.health <-
-            Quarantined
-              {
-                error = Printexc.to_string err;
-                backtrace = Printexc.raw_backtrace_to_string bt;
-                since = mgr.commit_seq;
-                heal_failures = 0;
-                (* A fresh quarantine is eligible for its first heal on
-                   the very next commit; backoff starts after that first
-                   round fails. *)
-                next_eligible = mgr.commit_seq + 1;
-              };
-          Obs.Metrics.add "ivm_resilience_quarantines_total"
-            ~labels:[ ("view", View.name e.view) ]
-            1)
-        (diff_quarantined @ rec_quarantined @ dep_quarantined);
-      (* Deferred views bank the net for their next refresh; quarantined
-         views (old and new) bank it for the self-heal's differential
-         drain.  Dependent views banked their inputs (parent deltas
-         included) in the dependents phase already. *)
-      List.iter
-        (fun e ->
-          if e.parents = [] then
-            match (e.mode, e.health) with
-            | Deferred, _ | Immediate, Quarantined _ -> accumulate mgr e net
-            | Immediate, (Healthy | Disabled _) -> ())
-        mgr.entries;
-      Option.iter
-        (fun j ->
-          Obs.Metrics.observe "ivm_resilience_journal_bytes"
-            (Resilience.Journal.bytes j))
-        journal;
-      let quarantined_now =
-        diff_quarantined @ rec_quarantined @ dep_quarantined
-      in
-      Obs.Provenance.record
+      let att =
         {
-          Obs.Provenance.seq = mgr.commit_seq;
-          kind = "commit";
-          outcome = (if quarantined_now = [] then "committed" else "degraded");
-          failing_phase = None;
-          domains = mgr.domains;
-          net = provenance_net net;
-          views = List.map provenance_view !completed;
-          events = List.rev !events;
-          journal_bytes = Option.map Resilience.Journal.bytes journal;
-          total_ns = Obs.Clock.now_ns () - t_start;
-        };
-      if quarantined_now <> [] then
-        ignore (Resilience.Flight.dump ~reason:"quarantine");
-      (* Durability point: the commit exists once its record is framed,
-         checksummed and (policy permitting) fsynced.  Group commit is
-         the [Every n] fsync policy — netted concurrent writers already
-         share this one record, and [n] such records share one sync. *)
-      wal_append mgr
-        (Durability.Record.Commit
-           {
-             seq = mgr.commit_seq;
-             heals = List.rev !wal_heals;
-             net;
-             outcomes =
-               List.map
-                 (fun (e, _) -> (View.name e.view, Durability.Record.Applied))
-                 (diff_ok @ rec_ok @ dep_ok)
-               @ List.rev !wal_outcomes;
-           });
-      List.map snd diff_ok @ List.map snd rec_ok @ List.map snd dep_ok)
+          net;
+          journal = new_journal mgr;
+          heals;
+          resolved = plan mgr net;
+          applied = Hashtbl.create 8;
+          t_start;
+          events = [];
+          ok = [];
+          quarantined = [];
+        }
+      in
+      let recompute, incremental =
+        List.partition
+          (fun (_, strategy, _, _) -> strategy = Maintenance.Recompute)
+          att.resolved
+      in
+      apply_base mgr att ~phase:"apply-deletes" Maintenance.apply_deletes;
+      run_tasks mgr att ~phase:"maintain" incremental;
+      apply_base mgr att ~phase:"apply-inserts" Maintenance.apply_inserts;
+      run_tasks mgr att ~phase:"recompute" recompute;
+      maintain_dependents mgr att;
+      finish mgr att)
 
 let refresh mgr name =
   let e = entry mgr name in
@@ -1439,19 +1369,9 @@ let refresh mgr name =
           e.stats <- add_report e.stats report;
           wal_append mgr
             (Durability.Record.Refresh { seq = mgr.commit_seq; view = name });
-          Obs.Provenance.record
-            {
-              Obs.Provenance.seq = mgr.commit_seq;
-              kind = "refresh";
-              outcome = "committed";
-              failing_phase = None;
-              domains = mgr.domains;
-              net = net_sizes;
-              views = [ provenance_view report ];
-              events = [];
-              journal_bytes = None;
-              total_ns = Obs.Clock.now_ns () - t_start;
-            };
+          record_provenance mgr ~kind:"refresh" ~outcome:"committed"
+            ~net:net_sizes ~views:[ report ]
+            (Obs.Clock.now_ns () - t_start);
           Some report)
 
 let refresh_all mgr =
@@ -1471,10 +1391,7 @@ let repair mgr name =
     (* The guaranteed escape hatch: a direct recompute, bypassing the
        instrumented (fault-injectable) maintenance path. *)
     View.recompute e.view mgr.catalog;
-    e.pending <- [];
-    e.health <- Healthy;
-    Obs.Metrics.add "ivm_resilience_repairs_total" ~labels:[ ("kind", "repair") ]
-      1;
+    revive e ~kind:"repair";
     refresh_dependents mgr name;
     wal_append mgr
       (Durability.Record.Repair { seq = mgr.commit_seq; view = name });
@@ -1698,19 +1615,8 @@ let recover mgr =
             ]
           else []
         in
-        Obs.Provenance.record
-          {
-            Obs.Provenance.seq = mgr.commit_seq;
-            kind = "recover";
-            outcome = "recovered";
-            failing_phase = None;
-            domains = mgr.domains;
-            net = [];
-            views = [];
-            events;
-            journal_bytes = None;
-            total_ns;
-          };
+        record_provenance mgr ~kind:"recover" ~outcome:"recovered" ~events
+          total_ns;
         {
           checkpoint_seq;
           checkpoint_lsn;

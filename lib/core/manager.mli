@@ -16,25 +16,21 @@ type mode =
 
 type t
 
-(** [create ?domains ?policy ?retry db] makes a manager whose commits
-    run view maintenance on a domain pool of the given size (clamped to
-    ≥ 1).  Resolution order: explicit [domains], then the [IVM_DOMAINS]
-    environment variable, then 1 (fully sequential).  Pools are shared
-    process-wide per size, so managers are cheap to create and never own
-    worker domains.  Parallel commits are deterministic: every view's
-    materialization, report (timings aside) and counters are identical to
-    a sequential commit (see {!Maintenance.process}).
+(** [create ?domains ?policy ?retry ?durability db] makes a manager
+    whose commits run view maintenance on a domain pool of the given
+    size (clamped to ≥ 1).  Resolution order: explicit [domains], then
+    the [IVM_DOMAINS] environment variable, then 1 (fully sequential).
+    Pools are shared process-wide per size, so managers are cheap to
+    create and never own worker domains.  Parallel commits are
+    deterministic: every view's materialization, report (timings aside)
+    and counters are identical to the same commit at [domains = 1].
 
     [policy] (default {!Resilience.Policy.Abort}) selects the failure
-    semantics of {!commit}; [retry] bounds the quarantine self-heal
-    (see {!heal}); [heal_schedule] (default
-    {!Resilience.Retry.default_schedule}) sets the self-heal backoff
-    ladder — rounds before a view is disabled, and how many commits a
-    quarantined view waits between automatic attempts.
-
-    [flight_dir] points the flight recorder at a directory
-    ({!Resilience.Flight.set_dir}) — equivalent to the
-    [IVM_FLIGHT_DIR] environment variable, which it overrides.
+    semantics of {!commit}; [retry] bounds each rung of the quarantine
+    self-heal (see {!heal}).  The self-heal backoff ladder is
+    {!Resilience.Retry.default_schedule}.  The flight recorder's
+    directory is process-wide: see {!Resilience.Flight.set_dir} and the
+    [IVM_FLIGHT_DIR] environment variable.
 
     [durability] arms the write-ahead log: every commit appends one
     record to [dir/wal.bin] (group-committed per the config's fsync
@@ -46,8 +42,6 @@ val create :
   ?domains:int ->
   ?policy:Resilience.Policy.t ->
   ?retry:Resilience.Retry.policy ->
-  ?heal_schedule:Resilience.Retry.schedule ->
-  ?flight_dir:string ->
   ?durability:Durability.Config.t ->
   Database.t ->
   t
@@ -137,11 +131,13 @@ type view_outcome =
 (** A commit failed under the [Abort] policy (or in a base-apply phase
     under [Quarantine]): the database and every materialization were
     rolled back to the exact pre-commit state.  [outcomes] lists every
-    view that was resolved for maintenance. *)
+    base view that was resolved for maintenance, then the failing
+    dependent view when the [dependents] phase failed. *)
 exception
   Commit_failed of {
     phase : string;
-        (** [apply-deletes], [maintain], [apply-inserts] or [recompute] *)
+        (** [apply-deletes], [maintain], [apply-inserts], [recompute] or
+            [dependents] *)
     error : string;
     backtrace : string;
     outcomes : (string * view_outcome) list;
@@ -237,9 +233,6 @@ val all_consistent : t -> bool
     {!heal}/{!repair}/{!refresh} calls.  Recovery restores the latest
     checkpoint and replays the log tail through the live maintenance
     machinery. *)
-
-(** The configured self-heal backoff ladder. *)
-val heal_schedule : t -> Resilience.Retry.schedule
 
 (** [true] when the manager was created with a durability config. *)
 val durable : t -> bool

@@ -88,7 +88,12 @@ let tokenize text =
         while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
           incr j
         done;
-        emit (T_int (int_of_string (String.sub text i (!j - i)))) i;
+        let digits = String.sub text i (!j - i) in
+        (match int_of_string_opt digits with
+        | Some v -> emit (T_int v) i
+        | None ->
+          parse_error "position %d: integer literal %s is out of range" i
+            digits);
         go !j
       | c when is_ident_start c ->
         let j = ref i in

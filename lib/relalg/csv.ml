@@ -152,7 +152,10 @@ let parse_header ~line_number line =
     | `Attr a :: rest -> split_counts (a :: acc) rest
   in
   let attrs, with_counts = split_counts [] parsed in
-  (Schema.make_bounded attrs, with_counts)
+  match Schema.make_bounded attrs with
+  | schema -> (schema, with_counts)
+  | exception Invalid_argument message ->
+    parse_error "line %d: %s" line_number message
 
 let parse_value ~line_number ty (cell, quoted) =
   match ty, quoted with
@@ -222,8 +225,15 @@ let of_string text =
                    parse_value ~line_number (Schema.ty_at schema i) cell)
                  value_cells)
           in
-          Tuple.check schema t;
-          Relation.add ~count r t
+          match
+            Tuple.check schema t;
+            Relation.add ~count r t
+          with
+          | () -> ()
+          | exception Invalid_argument message ->
+            parse_error "line %d: %s" line_number message
+          | exception Relation.Negative_count _ ->
+            parse_error "line %d: counter overflow" line_number
         end)
       rest;
     r

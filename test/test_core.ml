@@ -218,9 +218,7 @@ let advisor_tests =
         let db, view = big_r_view () in
         let d = Advisor.decide view ~db ~net:(net_of_size 5000) in
         Alcotest.(check bool) "recompute wins" true
-          (d.Advisor.choose = Advisor.Recompute);
-        Alcotest.(check bool) "compat flag agrees" false
-          d.Advisor.choose_differential);
+          (d.Advisor.choose = Advisor.Recompute));
     quick "differential cost is monotone in the delta size" (fun () ->
         let db, view = big_r_view () in
         let cost n =
@@ -239,7 +237,7 @@ let advisor_tests =
         Alcotest.(check (float 1e-9)) "zero differential cost" 0.0
           d.Advisor.differential_cost;
         Alcotest.(check bool) "so differential is chosen" true
-          d.Advisor.choose_differential);
+          (d.Advisor.choose = Advisor.Differential));
     quick "calibration fits actual = 2 x predicted on both strategies"
       (fun () ->
         Advisor.reset_samples ();
@@ -249,7 +247,6 @@ let advisor_tests =
             recompute_cost = (if diff then cost *. 10.0 else cost);
             self_maintain_cost = None;
             choose = (if diff then Advisor.Differential else Advisor.Recompute);
-            choose_differential = diff;
           }
         in
         List.iter
@@ -284,7 +281,6 @@ let advisor_tests =
               | 0 -> Advisor.Differential
               | 1 -> Advisor.Recompute
               | _ -> Advisor.Self_maintain);
-            choose_differential = i mod 3 = 0;
           }
         in
         let used i =

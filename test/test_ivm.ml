@@ -650,7 +650,7 @@ let advisor_tests =
         let net = Transaction.net_effect db txn in
         let decision = Ivm.Advisor.decide view ~db ~net in
         Alcotest.(check bool) "differential" true
-          decision.Ivm.Advisor.choose_differential);
+          (decision.Ivm.Advisor.choose = Ivm.Advisor.Differential));
     quick "full churn chooses recompute" (fun () ->
         let rng, scenario, db, view = setup () in
         let txn =
@@ -661,12 +661,12 @@ let advisor_tests =
         let net = Transaction.net_effect db txn in
         let decision = Ivm.Advisor.decide view ~db ~net in
         Alcotest.(check bool) "recompute" false
-          decision.Ivm.Advisor.choose_differential);
+          (decision.Ivm.Advisor.choose = Ivm.Advisor.Differential));
     quick "empty net costs nothing differentially" (fun () ->
         let _, _, db, view = setup () in
         let decision = Ivm.Advisor.decide view ~db ~net:[] in
         Alcotest.(check bool) "differential at zero cost" true
-          (decision.Ivm.Advisor.choose_differential
+          (decision.Ivm.Advisor.choose = Ivm.Advisor.Differential
           && decision.Ivm.Advisor.differential_cost = 0.0));
     quick "adaptive maintenance stays consistent across the spectrum"
       (fun () ->

@@ -277,7 +277,6 @@ let advisor_tests =
             recompute_cost = cost *. 10.0;
             self_maintain_cost = None;
             choose = Advisor.Differential;
-            choose_differential = true;
           }
         in
         List.iter
@@ -304,7 +303,6 @@ let advisor_tests =
             recompute_cost = 2.0;
             self_maintain_cost = None;
             choose = Advisor.Differential;
-            choose_differential = true;
           }
         in
         Advisor.record ~view:"v" ~used:Advisor.Recompute ~actual_ns:10 d;

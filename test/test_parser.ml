@@ -184,6 +184,94 @@ let select_tests =
            with Query.Spj.Compile_error _ -> true));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Untrusted text: every input parses or raises Parse_error            *)
+(* ------------------------------------------------------------------ *)
+
+let parse_error_of f =
+  match f () with
+  | _ -> None
+  | exception Parser.Parse_error message -> Some message
+
+let mentions needle message =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length message
+    && (String.sub message i n = needle || at (i + 1))
+  in
+  at 0
+
+let out_of_range_tests =
+  let check_rejected what f =
+    match parse_error_of f with
+    | Some message ->
+      Alcotest.(check bool)
+        (what ^ ": " ^ message)
+        true
+        (mentions "out of range" message)
+    | None -> Alcotest.fail (what ^ " was accepted")
+  in
+  let lookup = lookup_in (chain_db ()) in
+  [
+    quick "an integer literal past max_int is a parse error" (fun () ->
+        check_rejected "view" (fun () ->
+            Parser.view ~lookup
+              "SELECT A FROM R WHERE A < 99999999999999999999");
+        check_rejected "condition" (fun () ->
+            Parser.condition "A < 99999999999999999999"));
+    quick "a negative literal below -max_int is a parse error" (fun () ->
+        check_rejected "view" (fun () ->
+            Parser.view ~lookup
+              "SELECT A FROM R WHERE A < -4611686018427387904");
+        check_rejected "condition" (fun () ->
+            Parser.condition "A < -4611686018427387904"));
+  ]
+
+(* Token-level strings: SQL words, symbols and literals (huge ones
+   included) in any order; byte-level strings: arbitrary bytes. *)
+let token_text =
+  QCheck.Gen.(
+    map (String.concat " ")
+      (list_size (int_bound 16)
+         (oneofl
+            [
+              "SELECT"; "FROM"; "WHERE"; "GROUP"; "BY"; "AS"; "AND"; "OR";
+              "NOT"; "COUNT"; "SUM"; "AVG"; "MIN"; "MAX"; "*"; ","; "(";
+              ")"; "="; "<>"; "!="; "<"; "<="; ">"; ">="; "+"; "-"; "R";
+              "S"; "A"; "B"; "C"; "x"; "0"; "7"; "4611686018427387903";
+              "4611686018427387904"; "99999999999999999999"; "'s'"; "'";
+              "''"; ";"; ".";
+            ])))
+
+let byte_text = QCheck.Gen.(string_size ~gen:char (int_bound 40))
+
+let only_parse_errors ~name gen parse =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name
+       (QCheck.make ~print:(Printf.sprintf "%S") gen)
+       (fun text ->
+         match parse text with
+         | _ -> true
+         | exception Parser.Parse_error _ -> true
+         | exception e ->
+           QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e)))
+
+let fuzz_tests =
+  let lookup = lookup_in (chain_db ()) in
+  let view text = ignore (Parser.view ~lookup text) in
+  let condition text = ignore (Parser.condition text) in
+  [
+    only_parse_errors ~name:"view: token-level text" token_text view;
+    only_parse_errors ~name:"view: byte-level text" byte_text view;
+    only_parse_errors ~name:"condition: token-level text" token_text condition;
+    only_parse_errors ~name:"condition: byte-level text" byte_text condition;
+  ]
+
 let () =
   Alcotest.run "parser"
-    [ ("condition", condition_tests); ("select", select_tests) ]
+    [
+      ("condition", condition_tests);
+      ("select", select_tests);
+      ("literals", out_of_range_tests);
+      ("fuzz", fuzz_tests);
+    ]

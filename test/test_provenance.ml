@@ -552,7 +552,6 @@ let record_samples n =
         recompute_cost = cost *. 10.0;
         self_maintain_cost = None;
         choose = Advisor.Differential;
-        choose_differential = true;
       }
   done
 

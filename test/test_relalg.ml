@@ -558,6 +558,48 @@ let contains_substring needle haystack =
   in
   at 0
 
+(* [text] must fail to load with a [Parse_error] naming [line] and
+   mentioning [fragment]. *)
+let csv_rejected text ~line fragment =
+  match Csv.of_string text with
+  | _ -> Alcotest.fail ("accepted: " ^ String.escaped text)
+  | exception Csv.Parse_error message ->
+    Alcotest.(check bool)
+      (Printf.sprintf "line %d, %s: %s" line fragment message)
+      true
+      (contains_substring (Printf.sprintf "line %d:" line) message
+      && contains_substring fragment message)
+
+(* Token-level CSV text: header cells (bounded, duplicated, malformed)
+   and value cells (out of domain, huge, quoted) joined into lines. *)
+let csv_token_text =
+  QCheck.Gen.(
+    let cells tokens = map (String.concat ",") (list_size (int_range 1 3) (oneofl tokens)) in
+    let header =
+      cells
+        [ "A:int"; "B:str"; "A:int[5..1]"; "A:int[1..3]"; "C:int[0..9]";
+          "#"; "A:int[x..1]"; "\"A:int\""; "A:"; ":int"; "A:int[" ]
+    in
+    let row =
+      cells
+        [ "1"; "2"; "9"; "-3"; "x"; "\"q\""; "\"\""; "";
+          "4611686018427387903"; "99999999999999999999" ]
+    in
+    map2
+      (fun h rows -> String.concat "\n" (h :: rows))
+      header (list_size (int_bound 4) row))
+
+let csv_fuzz ~name gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name
+       (QCheck.make ~print:(Printf.sprintf "%S") gen)
+       (fun text ->
+         match Csv.of_string text with
+         | _ -> true
+         | exception Csv.Parse_error _ -> true
+         | exception e ->
+           QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e)))
+
 let csv_tests =
   let roundtrip r = Csv.of_string (Csv.to_string r) in
   [
@@ -643,6 +685,18 @@ let csv_tests =
         Alcotest.(check (list string)) "names" [ "R"; "S" ] (Database.names back);
         check_rel "R" (Database.find db "R") (Database.find back "R");
         check_rel "S" (Database.find db "S") (Database.find back "S"));
+    quick "a duplicate header attribute is a parse error" (fun () ->
+        csv_rejected "A:int,A:int\n1,2\n" ~line:1 "duplicate attribute");
+    quick "an empty header domain is a parse error" (fun () ->
+        csv_rejected "A:int[5..1]\n" ~line:1 "empty domain");
+    quick "a value outside its domain is a parse error" (fun () ->
+        csv_rejected "A:int[1..3]\n1\n9\n" ~line:3 "outside domain");
+    quick "a counter sum past max_int is a parse error" (fun () ->
+        csv_rejected "A:int,#\n1,4611686018427387903\n1,4611686018427387903\n"
+          ~line:3 "counter overflow");
+    csv_fuzz ~name:"token-level text" csv_token_text;
+    csv_fuzz ~name:"byte-level text"
+      QCheck.Gen.(string_size ~gen:char (int_bound 40));
   ]
 
 

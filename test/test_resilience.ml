@@ -1,8 +1,9 @@
 (* The fault-tolerant commit pipeline: deterministic fault injection,
    the undo-log journal, bounded retry, transactional abort (torn-commit
    regression), per-view quarantine with self-healing, the disabled
-   ladder and explicit repair, refresh hardening, and the commit fast
-   path for untouched views.
+   ladder and explicit repair, the dependents stage of a view tower
+   (abort, quarantine, stale-parent cascade), refresh hardening, and the
+   commit fast path for untouched views.
 
    Manager tests pin ~domains:1 so the single failure each scenario
    injects lands deterministically; the multi-domain interleavings are
@@ -339,6 +340,187 @@ let disable_after_exhausted_heals_then_repair () =
     (Manager.repair mgr "v")
 
 (* ------------------------------------------------------------------ *)
+(* Dependents: a child view maintained from its parent's delta         *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh durability directory for one test, removed afterwards. *)
+let with_wal name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ivm-resilience-%s-%d" name (Unix.getpid ()))
+  in
+  let clean () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir
+    end
+  in
+  clean ();
+  Fun.protect ~finally:clean (fun () -> f (Durability.Config.make dir))
+
+(* Per-view outcomes of the newest [Commit] record in the log. *)
+let last_commit_outcomes config =
+  let _, records =
+    Durability.Wal.open_ ~fsync:Durability.Config.Never
+      (Durability.Config.wal_path config)
+  in
+  match
+    List.find_map
+      (function
+        | _, Durability.Record.Commit { outcomes; _ } -> Some outcomes
+        | _ -> None)
+      (List.rev records)
+  with
+  | Some outcomes -> outcomes
+  | None -> Alcotest.fail "no Commit record in the log"
+
+(* Parent [p] over R and child [c] joining [p] with S, so the child
+   takes the parent's committed delta plus any S updates as its input.
+   Deleting (1, 2) from R moves (1, 2) out of [p] and (1, 2, 7) out of
+   [c]; sabotaging either materialization the way [torn_commit] does
+   makes that view's delta underflow. *)
+let tower ?durability ~policy () =
+  let db = example_db () in
+  let mgr = Manager.create ~domains:1 ~policy ?durability db in
+  let p = Manager.define_view mgr ~name:"p" Query.Expr.(base "R") in
+  let c =
+    Manager.define_view mgr ~name:"c" Query.Expr.(join (base "p") (base "S"))
+  in
+  (db, mgr, p, c)
+
+let delete_1_2 = Transaction.delete "R" (Tuple.of_ints [ 1; 2 ])
+
+let quarantined mgr name =
+  match Manager.view_health mgr name with
+  | Manager.Quarantined _ -> true
+  | Manager.Healthy | Manager.Disabled _ -> false
+
+let dependent_failure_aborts () =
+  let db, mgr, p, c = tower ~policy:Policy.Abort () in
+  Relation.update (View.contents c) (Tuple.of_ints [ 1; 2; 7 ]) (-1);
+  let saved_r = Relation.copy (Database.find db "R") in
+  let saved_s = Relation.copy (Database.find db "S") in
+  let saved_p = Relation.copy (View.contents p) in
+  let saved_c = Relation.copy (View.contents c) in
+  (match Manager.commit mgr [ delete_1_2 ] with
+  | _ -> Alcotest.fail "the sabotaged child must fail the commit"
+  | exception Manager.Commit_failed { phase; outcomes; _ } ->
+    Alcotest.(check string) "failed in the dependents phase" "dependents" phase;
+    Alcotest.(check bool) "parent rolled back" true
+      (List.assoc "p" outcomes = Manager.Rolled_back);
+    (match List.assoc "c" outcomes with
+    | Manager.Faulted _ -> ()
+    | Manager.Rolled_back | Manager.Unreached ->
+      Alcotest.fail "c should be the faulted view"));
+  check_rel "R rolled back" saved_r (Database.find db "R");
+  check_rel "S rolled back" saved_s (Database.find db "S");
+  check_rel "p rolled back" saved_p (View.contents p);
+  check_rel "c rolled back (sabotage preserved)" saved_c (View.contents c);
+  Alcotest.(check bool) "nobody was quarantined" true
+    (List.for_all (fun (_, h) -> h = Manager.Healthy) (Manager.health mgr))
+
+let dependent_failure_quarantines () =
+  with_wal "dep-quarantine" (fun durability ->
+      let db, mgr, p, c = tower ~durability ~policy:Policy.Quarantine () in
+      Relation.update (View.contents c) (Tuple.of_ints [ 1; 2; 7 ]) (-1);
+      let reports = Manager.commit mgr [ delete_1_2 ] in
+      Alcotest.(check (list string))
+        "only the parent reports" [ "p" ]
+        (List.map (fun r -> r.Ivm.Maintenance.view_name) reports);
+      Alcotest.(check bool) "child quarantined" true (quarantined mgr "c");
+      Alcotest.(check bool) "parent healthy" true
+        (Manager.view_health mgr "p" = Manager.Healthy);
+      check_rel "parent committed"
+        (Query.Eval.eval db Query.Expr.(base "R"))
+        (View.contents p);
+      (match Manager.pending mgr "c" with
+      | [ ("p", (d : Ivm.Delta.t)) ] ->
+        Alcotest.(check bool) "parent delta banked" true
+          (Relation.mem d.Ivm.Delta.deletes (Tuple.of_ints [ 1; 2 ])
+          && Relation.cardinal d.Ivm.Delta.inserts = 0)
+      | _ -> Alcotest.fail "the child should bank exactly the parent delta");
+      let outcomes = last_commit_outcomes durability in
+      Alcotest.(check bool) "WAL: parent applied" true
+        (List.assoc "p" outcomes = Durability.Record.Applied);
+      (match List.assoc "c" outcomes with
+      | Durability.Record.Faulted _ -> ()
+      | Durability.Record.Applied | Durability.Record.Cascade _ ->
+        Alcotest.fail "WAL: the child should be logged as Faulted");
+      (* The next commit's auto-heal drains the banked delta, hits the
+         same underflow, and recomputes. *)
+      ignore
+        (Manager.commit mgr [ Transaction.insert "R" (Tuple.of_ints [ 3; 2 ]) ]);
+      Alcotest.(check bool) "child healed" true
+        (Manager.view_health mgr "c" = Manager.Healthy);
+      check_rel "child caught up"
+        (Query.Eval.eval
+           (db_of [ ("p", View.contents p); ("S", Database.find db "S") ])
+           Query.Expr.(join (base "p") (base "S")))
+        (View.contents c);
+      Alcotest.(check bool) "consistent" true (Manager.all_consistent mgr))
+
+(* A quarantined dependent rolls back its own sub-journal the way a
+   base view does: the same [view-rollback] provenance event and the
+   same view-scoped rollback count. *)
+let dependent_quarantine_logs_rollback () =
+  let _db, mgr, _p, c = tower ~policy:Policy.Quarantine () in
+  Relation.update (View.contents c) (Tuple.of_ints [ 1; 2; 7 ]) (-1);
+  let rollbacks () =
+    Obs.Metrics.counter_value "ivm_resilience_rollbacks_total"
+      ~labels:[ ("scope", "view") ]
+  in
+  Obs.Control.with_enabled (fun () ->
+      let before = rollbacks () in
+      ignore (Manager.commit mgr [ delete_1_2 ]);
+      Alcotest.(check int) "one view rollback counted" 1 (rollbacks () - before));
+  match List.rev (Obs.Provenance.recent ()) with
+  | (record : Obs.Provenance.commit) :: _ ->
+    Alcotest.(check (list (pair string string)))
+      "dependents events"
+      [ ("view-rollback", "c"); ("quarantine", "c") ]
+      (List.filter_map
+         (fun (ev : Obs.Provenance.event) ->
+           if ev.phase = "dependents" then
+             Some (ev.kind, List.hd (String.split_on_char ':' ev.detail))
+           else None)
+         record.events)
+  | [] -> Alcotest.fail "no provenance record"
+
+let stale_parent_cascades () =
+  with_wal "dep-cascade" (fun durability ->
+      let _db, mgr, p, _c = tower ~durability ~policy:Policy.Quarantine () in
+      Relation.update (View.contents p) (Tuple.of_ints [ 1; 2 ]) (-1);
+      ignore
+        (Manager.commit mgr
+           [ delete_1_2; Transaction.insert "S" (Tuple.of_ints [ 2; 8 ]) ]);
+      Alcotest.(check bool) "parent quarantined" true (quarantined mgr "p");
+      Alcotest.(check bool) "child quarantined by the cascade" true
+        (quarantined mgr "c");
+      (match Manager.pending mgr "c" with
+      | [ ("S", (d : Ivm.Delta.t)) ] ->
+        Alcotest.(check bool) "S input banked" true
+          (Relation.mem d.Ivm.Delta.inserts (Tuple.of_ints [ 2; 8 ]))
+      | _ -> Alcotest.fail "the child should bank its S input");
+      let outcomes = last_commit_outcomes durability in
+      (match List.assoc "p" outcomes with
+      | Durability.Record.Faulted _ -> ()
+      | Durability.Record.Applied | Durability.Record.Cascade _ ->
+        Alcotest.fail "WAL: the parent should be logged as Faulted");
+      (match List.assoc "c" outcomes with
+      | Durability.Record.Cascade _ -> ()
+      | Durability.Record.Applied | Durability.Record.Faulted _ ->
+        Alcotest.fail "WAL: the child should be logged as a Cascade");
+      Alcotest.(check bool) "the child cannot heal past its parent" false
+        (Manager.heal mgr "c");
+      Alcotest.(check bool) "the parent heals" true (Manager.heal mgr "p");
+      Alcotest.(check bool) "and brings the child back" true
+        (Manager.view_health mgr "c" = Manager.Healthy);
+      Alcotest.(check bool) "child pending cleared" true
+        (Manager.pending mgr "c" = []);
+      Alcotest.(check bool) "consistent" true (Manager.all_consistent mgr))
+
+(* ------------------------------------------------------------------ *)
 (* Refresh hardening                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,6 +625,17 @@ let () =
             self_heal_on_next_commit;
           quick "exhausted heals disable the view; repair revives it"
             disable_after_exhausted_heals_then_repair;
+        ] );
+      ( "dependents",
+        [
+          quick "a failing child aborts the whole commit"
+            dependent_failure_aborts;
+          quick "a failing child quarantines and banks the parent delta"
+            dependent_failure_quarantines;
+          quick "a quarantined child logs its own view rollback"
+            dependent_quarantine_logs_rollback;
+          quick "a stale parent cascades; its heal restores the child"
+            stale_parent_cascades;
         ] );
       ( "refresh",
         [

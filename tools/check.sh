@@ -3,10 +3,26 @@
 # built-in view-definition scenario, and smoke the telemetry pipeline —
 # the bench harness and the trace exporter must keep emitting JSON that
 # parses and carries the keys downstream tooling consumes.
-set -eu
-cd "$(dirname "$0")/.."
+#
+# Every step runs even when an earlier one fails, so one broken gate
+# cannot hide the state of the others; the command of each failing step
+# is printed, and the script exits non-zero at the end if any failed.
+set -u
+cd "$(dirname "$0")/.." || exit 1
 
-dune build @all
+failed=""
+
+# Run one step (a shell command line, so pipes and redirections work);
+# on failure, report it and remember it for the final summary.
+step() {
+  if ! eval "$1"; then
+    echo "check.sh: step failed: $1" >&2
+    failed="$failed
+  $1"
+  fi
+}
+
+step "dune build @all"
 # The whole suite and the oracle fuzz budget run three times:
 # sequential (the default), with a 2-domain pool (one worker — the
 # asymmetric case where steals and helping awaits are most likely),
@@ -19,23 +35,23 @@ dune build @all
 # candidate keys and draw the forced Self_maintain strategy, so the
 # certified zero-base-read path is lockstep-checked here too.
 for d in 1 2 4; do
-  IVM_DOMAINS=$d dune runtest --force
-  dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 50 \
-    --transactions 40 --domains "$d" --quiet
+  step "IVM_DOMAINS=$d dune runtest --force"
+  step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 50 \
+    --transactions 40 --domains $d --quiet"
   # Fault-injection gate: the same fixed-seed streams replayed with
   # faults raised at maintenance phase boundaries, alternating the abort
   # and quarantine policies; every commit must either succeed, roll back
   # to a state bit-identical to the oracle's pre-commit copy, or
   # quarantine views that self-heal before the stream ends.
-  dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 50 \
-    --transactions 40 --domains "$d" --fault-rate 0.05 --quiet
+  step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 50 \
+    --transactions 40 --domains $d --fault-rate 0.05 --quiet"
   # Aggregate arm: the same lockstep gate with GROUP BY views
   # (COUNT/SUM/AVG/MIN/MAX payload rings) and 2-level view towers drawn
   # into every stream, plain and under fault injection.
-  dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
-    --transactions 40 --domains "$d" --aggregates --quiet
-  dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
-    --transactions 40 --domains "$d" --aggregates --fault-rate 0.05 --quiet
+  step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+    --transactions 40 --domains $d --aggregates --quiet"
+  step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+    --transactions 40 --domains $d --aggregates --fault-rate 0.05 --quiet"
   # Crash-recovery gate (domains 1 and 4): the same streams run with a
   # WAL and kill-points armed at the append/fsync/checkpoint/truncate
   # boundaries, plus torn tails injected at arbitrary byte offsets into
@@ -45,40 +61,37 @@ for d in 1 2 4; do
   # draws GROUP BY views and towers, so grouped inner state goes through
   # kill-point recovery too.
   if [ "$d" -ne 2 ]; then
-    dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
-      --transactions 30 --domains "$d" --crash --quiet
-    dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
-      --transactions 30 --domains "$d" --crash --aggregates --quiet
+    step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+      --transactions 30 --domains $d --crash --quiet"
+    step "dune exec bin/ivm_cli.exe -- fuzz --seed 1986 --streams 25 \
+      --transactions 30 --domains $d --crash --aggregates --quiet"
   fi
   # Provenance smoke: the explain pipeline must replay the paper demo
   # (screening rules, keyed drain, certificate fallback) and emit
   # parseable JSON, and the OpenMetrics exposition must end in # EOF.
-  dune exec bin/ivm_cli.exe -- explain --domains "$d" > /dev/null
-  dune exec bin/ivm_cli.exe -- explain --domains "$d" --json \
-    | grep -q '"IVM051:keyed-drain"'
-  dune exec bin/ivm_cli.exe -- metrics --transactions 10 --domains "$d" \
-    | tail -1 | grep -q '^# EOF'
+  step "dune exec bin/ivm_cli.exe -- explain --domains $d > /dev/null"
+  step "dune exec bin/ivm_cli.exe -- explain --domains $d --json \
+    | grep -q '\"IVM051:keyed-drain\"'"
+  step "dune exec bin/ivm_cli.exe -- metrics --transactions 10 --domains $d \
+    | tail -1 | grep -q '^# EOF'"
 done
-dune exec bin/ivm_cli.exe -- lint --all-scenarios
+step "dune exec bin/ivm_cli.exe -- lint --all-scenarios"
 
 # Lint gate, machine-readable: the JSON report over the built-in
 # scenarios must carry no Error-level diagnostics and must show the
 # IVM05x self-maintainability band (proof the analysis still runs).
-dune exec bin/ivm_cli.exe -- lint --all-scenarios --json > lint.json
-dune exec tools/validate_snapshot.exe -- lint lint.json
+step "dune exec bin/ivm_cli.exe -- lint --all-scenarios --json > lint.json"
+step "dune exec tools/validate_snapshot.exe -- lint lint.json"
 
 # IVM06x exit contract: a clean GROUP BY definition lints with the
 # MIN/MAX rescan hint at exit 0; an aggregate over a missing attribute
 # is an IVM060 Error and must exit 1, in --json mode too.
-dune exec bin/ivm_cli.exe -- lint --dir data --json \
-  "SELECT B, COUNT(*) AS CNT, MIN(A) AS MIN_A FROM R GROUP BY B" \
-  | grep -q '"IVM063"'
-if dune exec bin/ivm_cli.exe -- lint --dir data --json \
-  "SELECT B, SUM(Z) AS SUM_Z FROM R GROUP BY B" > lint_bad.json; then
-  echo "check.sh: IVM060 lint was expected to exit 1" >&2
-  exit 1
-fi
-grep -q '"IVM060"' lint_bad.json
+step "dune exec bin/ivm_cli.exe -- lint --dir data --json \
+  \"SELECT B, COUNT(*) AS CNT, MIN(A) AS MIN_A FROM R GROUP BY B\" \
+  | grep -q '\"IVM063\"'"
+step "! dune exec bin/ivm_cli.exe -- lint --dir data --json \
+  \"SELECT B, SUM(Z) AS SUM_Z FROM R GROUP BY B\" > lint_bad.json"
+step "grep -q '\"IVM060\"' lint_bad.json"
 rm -f lint_bad.json
 
 # Bench smoke: one cheap section; every run also writes BENCH_IVM.json
@@ -87,19 +100,25 @@ rm -f lint_bad.json
 # cores the sharded curve must reach 1.5x at 4 domains and 1.0x at 2;
 # with fewer cores each sub-threshold speedup is skipped with a printed
 # warning (a 1-core runner cannot exhibit parallel speedup).
-dune exec bench/main.exe -- tables > /dev/null
-dune exec tools/validate_snapshot.exe -- bench BENCH_IVM.json
+step "dune exec bench/main.exe -- tables > /dev/null"
+step "dune exec tools/validate_snapshot.exe -- bench BENCH_IVM.json"
 
 # Regression gate: the fresh snapshot against the committed baseline.
 # Deterministic fields (commit counts, screening ratios, advisor and
 # self-maintenance coverage) gate; timing fields are noted only, since
 # the baseline was recorded on different hardware.  The self-test first
 # proves the gate still catches a synthetically degraded snapshot.
-dune exec tools/bench_diff.exe -- --self-test BENCH_IVM.json > /dev/null
-dune exec tools/bench_diff.exe -- bench/BENCH_IVM.baseline.json \
-  BENCH_IVM.json --ignore-timing
+step "dune exec tools/bench_diff.exe -- --self-test BENCH_IVM.json > /dev/null"
+step "dune exec tools/bench_diff.exe -- bench/BENCH_IVM.baseline.json \
+  BENCH_IVM.json --ignore-timing"
 
 # Trace smoke: run a built-in scenario and validate the Chrome trace.
-dune exec bin/ivm_cli.exe -- trace --scenario orders --transactions 20 \
-  --out trace.json > /dev/null
-dune exec tools/validate_snapshot.exe -- trace trace.json
+step "dune exec bin/ivm_cli.exe -- trace --scenario orders --transactions 20 \
+  --out trace.json > /dev/null"
+step "dune exec tools/validate_snapshot.exe -- trace trace.json"
+
+if [ -n "$failed" ]; then
+  echo "check.sh: failed steps:$failed" >&2
+  exit 1
+fi
+echo "check.sh: every step passed"
