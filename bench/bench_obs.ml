@@ -143,25 +143,9 @@ let snapshot_json mgr =
   Obs.Json.Obj
     [
       ("benchmark", Obs.Json.Str "ivm-maintenance");
-      (* v2: adds the E18 "parallel" domain-scaling section;
-         v3: adds the E20 "resilience" journaling-overhead section;
-         v4: adds the E21 "self_maintenance" eval-phase comparison, a
-             "self_maintained" count per view, and the third advisor arm
-             in calibration/pairs;
-         v5: adds the E22 "provenance" recorder-overhead section and
-             switches advisor pairs to a fixed-size deterministic
-             reservoir sample;
-         v6: splits the E18 "parallel" section into "per_view" (commit
-             fan-out over independent views) and "sharded" (E23:
-             intra-view hash-sharded evaluation) sub-sections, each
-             with its own curve and speedup fields;
-         v7: adds the E24 "aggregate" section (incremental grouped
-             aggregate maintenance vs full recompute, with the groups
-             touched and MIN/MAX rescan counts);
-         v8: adds the E25 "durability" section (write-ahead-log
-             overhead vs the in-memory pipeline, and the recovery-time
-             curve over log length). *)
-      ("schema_version", Obs.Json.Int 8);
+      (* the layout, and its version history, live with the field
+         table in Obs.Snapshot_diff *)
+      ("schema_version", Obs.Json.Int Obs.Snapshot_diff.schema_version);
       ("generator", Obs.Json.Str "bench/main.exe");
       ( "views",
         Obs.Json.List

@@ -99,8 +99,10 @@ type reader = { src : string; mutable pos : int }
 let reader ?(pos = 0) src = { src; pos }
 let pos r = r.pos
 
+(* Compared against the bytes left, not as [r.pos + n]: a hostile
+   length near [max_int] would overflow that sum and pass. *)
 let need r n =
-  if n < 0 || r.pos + n > String.length r.src then
+  if n < 0 || n > String.length r.src - r.pos then
     corrupt "truncated input: need %d bytes at offset %d of %d" n r.pos
       (String.length r.src)
 

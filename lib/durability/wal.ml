@@ -179,11 +179,20 @@ let truncate_to_header t =
     ~labels:[ ("kind", "checkpoint") ]
     1
 
-let entries path =
+(* The whole records of the log at [path] and the bytes past them,
+   without opening it for writing. *)
+let scan_file path =
   let content = read_file path in
-  if String.length content = 0 then []
+  if String.length content = 0 then ([], 0)
   else begin
     check_header ~path content;
-    let records, _ = scan content in
-    List.map (fun (lsn, _, off, len) -> (lsn, off, len)) records
+    let records, good = scan content in
+    (records, String.length content - good)
   end
+
+let read path =
+  let records, torn = scan_file path in
+  (List.map (fun (lsn, record, _, _) -> (lsn, record)) records, torn)
+
+let entries path =
+  List.map (fun (lsn, _, off, len) -> (lsn, off, len)) (fst (scan_file path))

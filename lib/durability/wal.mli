@@ -69,6 +69,13 @@ val size : t -> int
     LSN counter is preserved. *)
 val truncate_to_header : t -> unit
 
+(** Read-only scan of a log file: every whole record with its LSN, in
+    order, and the torn-tail byte count.  Unlike {!open_} it truncates
+    nothing and creates nothing; a missing or empty file reads as
+    [([], 0)].
+    @raise Incompatible_wal on a foreign header. *)
+val read : string -> (int * Record.t) list * int
+
 (** Read-only scan of a log file: [(lsn, offset, frame_length)] for
     every whole record, in order.  Torn tails are ignored, not
     truncated.  Used by tests to compute byte extents.

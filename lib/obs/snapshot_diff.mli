@@ -1,27 +1,76 @@
-(** Field-by-field comparison of two [BENCH_IVM.json] snapshots — the
-    regression gate behind [tools/bench_diff.exe].
+(** The [BENCH_IVM.json] contract, written once: one table of rows that
+    {!validate} checks a snapshot against ([validate_snapshot bench]),
+    {!compare_snapshots} compares two snapshots by ([bench_diff]) and
+    {!degrade} breaks.
 
-    Fields split into two classes:
-    - {e deterministic} fields (commit counts, screening ratios, advisor
-      sample presence, self-maintenance coverage, schema version) are
-      identical across machines for the canonical workload and compare
-      under [tolerance];
-    - {e timing} fields (per-view latency percentiles, speedup curve,
-      journaling overhead, eval reduction) depend on the hardware and
-      compare under the looser [timing_tolerance] — and only count as
-      regressions when [check_timing] is set, otherwise they surface as
-      notes.  CI compares against a committed baseline from unknown
-      hardware, so it runs with [check_timing = false]; a developer
-      comparing two runs of the same machine turns it on. *)
+    A row's dotted [path] steps into each element of a [list[]],
+    labelled by its ["name"], else by its index.  Its [need] is what the
+    value must be ({!validate} only warns on an [Advisory] one).  Its
+    [gate]: an overhead budget (percent, at most), a must-beat (strictly
+    above), a scaling floor (positive and at least [floor] wherever
+    [parallel.cores_available] covers [domains]), equality with a
+    sibling field, or a minimum.  Its [compare] class against the
+    baseline: relative drift beyond [tolerance]; any drop; a drop beyond
+    [tolerance] in its share of itself plus the sibling; or worse than
+    [timing_tolerance] when higher / lower (at most 0 counts as lower).
+    [why] ends the message of a failed gate or compare class. *)
+
+(** The layout version the emitter writes and the table describes. *)
+val schema_version : int
+
+type need =
+  | Present
+  | Text
+  | Positive_int
+  | Non_negative_int
+  | Number
+  | Positive
+  | Non_empty_array
+  | Advisory of need
+
+type gate =
+  | Budget of float
+  | Must_beat of float
+  | Scaling of { domains : int; floor : float }
+  | Equal_to of string
+  | At_least of int
+
+type compare =
+  | Drift
+  | Never_lower
+  | Share_of of string
+  | Timing_higher
+  | Timing_lower
+
+type row = {
+  path : string;
+  need : need;
+  gate : gate option;
+  compare : compare option;
+  why : string;
+}
+
+val rows : row list
+
+type report = {
+  errors : string list;
+  warnings : string list;  (** failed advisory needs, skipped floors *)
+  summary : string list;  (** gated values and array lengths *)
+}
+
+(** Every row against one snapshot; every failure is reported. *)
+val validate : Json.t -> report
 
 type options = {
   tolerance : float;  (** relative slack on deterministic fields *)
   timing_tolerance : float;
       (** allowed degradation factor on timing fields (e.g. 3.0 = 3x) *)
-  check_timing : bool;  (** count timing degradations as regressions *)
+  check_timing : bool;
+      (** count timing findings, budgets and floors as regressions *)
 }
 
-(** [{tolerance = 0.30; timing_tolerance = 3.0; check_timing = false}]. *)
+(** [{tolerance = 0.30; timing_tolerance = 3.0; check_timing = false}]:
+    CI compares against a baseline from unknown hardware. *)
 val default : options
 
 type outcome = {
@@ -30,10 +79,11 @@ type outcome = {
   compared : int;  (** fields actually compared *)
 }
 
+(** Where the baseline meets a row's need: a current value that does not
+    regresses; a gate regresses only where the baseline passes it; then
+    the compare class applies. *)
 val compare_snapshots : options -> baseline:Json.t -> current:Json.t -> outcome
 
-(** A synthetically degraded copy of a snapshot (halved commit counts,
-    dead screening, missing calibration, slower percentiles, broken
-    self-maintenance coverage) — [bench_diff --self-test] proves the gate
-    rejects it and accepts the identity comparison. *)
+(** Every gated or compared row pushed past its check, types kept, and
+    every list whose elements nothing checks emptied. *)
 val degrade : Json.t -> Json.t

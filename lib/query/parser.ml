@@ -200,28 +200,27 @@ let parse_comparison stream =
         (position stream) (pp_token other)
   in
   let right = parse_operand stream in
+  let shift_at = position stream in
   let shift =
     match peek stream with
-    | T_symbol "+" ->
+    | T_symbol (("+" | "-") as sign) -> (
       advance stream;
-      (match peek stream with
+      match peek stream with
       | T_int x ->
         advance stream;
-        x
+        if sign = "+" then x else -x
       | other ->
-        parse_error "position %d: expected an integer after '+', found %s"
-          (position stream) (pp_token other))
-    | T_symbol "-" ->
-      advance stream;
-      (match peek stream with
-      | T_int x ->
-        advance stream;
-        -x
-      | other ->
-        parse_error "position %d: expected an integer after '-', found %s"
-          (position stream) (pp_token other))
+        parse_error "position %d: expected an integer after '%s', found %s"
+          (position stream) sign (pp_token other))
     | _ -> 0
   in
+  (* The paper's shifted form compares numbers; a string constant has
+     nothing to shift. *)
+  (match right with
+  | Formula.O_const (Value.Str _) when shift <> 0 ->
+    parse_error "position %d: a string literal cannot take a '+'/'-' shift"
+      shift_at
+  | _ -> ());
   Formula.Atom (Formula.atom left cmp ~shift right)
 
 let rec parse_disjunction stream =

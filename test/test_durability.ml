@@ -1,9 +1,10 @@
 (* The durable commit pipeline: binary codec round-trips and checksum
    rejection, WAL header compatibility, torn-tail truncation at every
-   byte offset of the final record, checkpoint atomic round-trips, the
-   self-heal backoff ladder, and manager-level recovery — including the
-   QCheck property that recovery is idempotent for arbitrary generated
-   workloads. *)
+   byte offset of the final record, untrusted WAL and checkpoint files
+   (hostile lengths, whole-file fuzzing) and the read-only wal_dump,
+   checkpoint atomic round-trips, the self-heal backoff ladder, and
+   manager-level recovery — including the QCheck property that recovery
+   is idempotent for arbitrary generated workloads. *)
 
 open Relalg
 open Helpers
@@ -288,6 +289,110 @@ let decodes_or_corrupt bytes =
   | () -> true
   | exception Codec.Corrupt _ -> true
 
+(* Whole files: a valid WAL or checkpoint, mutated, then opened from
+   disk.  Each call must return, or raise [Corrupt] or
+   [Incompatible_wal]; any other exception fails. *)
+
+let write_file path content =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc content)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The file's bytes and its frames' [(offset, length)] extents, length
+   counting the 8-byte [<len> <crc>] frame header. *)
+let pristine_wal =
+  lazy
+    (with_dir "fuzz-wal-pristine" (fun dir ->
+         Unix.mkdir dir 0o755;
+         let path = Filename.concat dir "wal.bin" in
+         let wal, _ = Wal.open_ ~fsync:Durability.Config.Never path in
+         List.iter (fun r -> ignore (Wal.append wal r)) sample_records;
+         ( read_file path,
+           List.map (fun (_, off, len) -> (off, len)) (Wal.entries path) )))
+
+let pristine_checkpoint =
+  lazy
+    (with_dir "fuzz-ckp-pristine" (fun dir ->
+         Unix.mkdir dir 0o755;
+         let path = Filename.concat dir "checkpoint.bin" in
+         Durability.Checkpoint.write path fuzz_state;
+         let content = read_file path in
+         (content, [ (8, String.length content - 8) ])))
+
+(* Positions are drawn as seeds and mapped onto the file when it is
+   known.  [Hostile] overwrites 8 payload bytes with a length-like
+   integer and re-seals the frame's CRC, so the bad length reaches the
+   decoder instead of failing the checksum. *)
+type edit = Flip of int * int | Hostile of int * int * int
+
+let hostile_ints =
+  [ max_int; max_int - 4; min_int; -1; 1 lsl 32; 1 lsl 40; 0x7fffffff ]
+
+let edit_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun at mask -> Flip (at, mask)) nat (int_range 1 255);
+        map3
+          (fun frame at v -> Hostile (frame, at, v))
+          nat nat (oneofl hostile_ints);
+      ])
+
+let show_edits (header, edits) =
+  Printf.sprintf "header %s; %s"
+    (match header with
+    | None -> "kept"
+    | Some at -> Printf.sprintf "byte %d flipped" at)
+    (String.concat "; "
+       (List.map
+          (function
+            | Flip (at, mask) -> Printf.sprintf "flip %d ^ %d" at mask
+            | Hostile (f, at, v) -> Printf.sprintf "frame %d @%d := %d" f at v)
+          edits))
+
+let apply_edits (content, frames) (header, edits) =
+  let b = Bytes.of_string content in
+  let size = Bytes.length b in
+  let flip at mask =
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask))
+  in
+  Option.iter (fun at -> flip at 0x5A) header;
+  List.iter
+    (function
+      | Flip (at, mask) -> flip (at mod size) mask
+      | Hostile (frame, at, v) ->
+        let off, len = List.nth frames (frame mod List.length frames) in
+        let payload = len - 8 in
+        if payload >= 8 then begin
+          Bytes.set_int64_le b
+            (off + 8 + (at mod (payload - 7)))
+            (Int64.of_int v);
+          Bytes.set_int32_le b (off + 4)
+            (Codec.crc32 (Bytes.unsafe_to_string b) ~pos:(off + 8) ~len:payload)
+        end)
+    edits;
+  Bytes.to_string b
+
+let file_fuzz ~name pristine load =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name
+       (QCheck.make ~print:show_edits
+          QCheck.Gen.(
+            pair (opt (int_bound 7)) (list_size (int_range 1 3) edit_gen)))
+       (fun mutation ->
+         with_dir "fuzz-file" (fun dir ->
+             Unix.mkdir dir 0o755;
+             let path = Filename.concat dir "file.bin" in
+             write_file path (apply_edits (Lazy.force pristine) mutation);
+             match load path with
+             | () -> true
+             | exception (Durability.Corrupt _ | Durability.Incompatible_wal _)
+               ->
+               true
+             | exception e ->
+               QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))))
+
 let payload_fuzz_tests =
   let payload =
     let b = Buffer.create 256 in
@@ -309,11 +414,48 @@ let payload_fuzz_tests =
            let b = Bytes.of_string payload in
            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
            decodes_or_corrupt (Bytes.to_string b)));
+    file_fuzz ~name:"a mutated WAL file opens or raises a typed error"
+      pristine_wal (fun path ->
+        ignore (Wal.open_ ~fsync:Durability.Config.Never path));
+    file_fuzz ~name:"a mutated checkpoint reads or raises a typed error"
+      pristine_checkpoint (fun path ->
+        ignore (Durability.Checkpoint.read path));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* WAL file                                                            *)
 (* ------------------------------------------------------------------ *)
+
+let file_header magic version =
+  let b = Buffer.create 8 in
+  Buffer.add_string b magic;
+  Buffer.add_uint16_le b version;
+  Buffer.contents b
+
+(* <u32le len> <u32le crc32> payload: a frame that passes its checksum. *)
+let sealed_frame payload =
+  let len = String.length payload in
+  let b = Buffer.create (8 + len) in
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_int32_le b (Codec.crc32 payload ~pos:0 ~len);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* [prefix] up to a string, then that string's length prefix at
+   [max_int - 4]: [pos + n] overflows, so only a comparison with the
+   bytes left rejects it. *)
+let hostile_payload prefix =
+  let b = Buffer.create 64 in
+  prefix b;
+  Codec.w_int b (max_int - 4);
+  Buffer.add_string b "name";
+  Buffer.contents b
+
+(* The dump tool, built next to this test by the dune [deps]. *)
+let wal_dump_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "tools" "wal_dump.exe")
 
 let wal_tests =
   [
@@ -381,6 +523,78 @@ let wal_tests =
             Alcotest.(check int) "last record dropped" 3 (List.length scanned);
             Alcotest.(check int) "torn bytes counted" len
               (Wal.torn_bytes wal2)));
+    quick "a hostile string length in a WAL frame is a torn tail" (fun () ->
+        with_dir "wal-hostile" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "wal.bin" in
+            (* lsn, then a Repair record whose view name claims
+               [max_int - 4] bytes *)
+            let payload =
+              hostile_payload (fun b ->
+                  Codec.w_int b 1;
+                  Codec.w_byte b 2;
+                  Codec.w_int b 1)
+            in
+            write_file path
+              (file_header Wal.magic Wal.version ^ sealed_frame payload);
+            let wal, records = Wal.open_ ~fsync:Durability.Config.Never path in
+            Alcotest.(check int) "no record survives" 0 (List.length records);
+            Alcotest.(check int) "the frame is the torn tail"
+              (8 + String.length payload) (Wal.torn_bytes wal)));
+    quick "a hostile string length in a checkpoint is Corrupt" (fun () ->
+        with_dir "ckp-hostile" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "checkpoint.bin" in
+            (* seq, lsn, one relation whose name claims [max_int - 4] bytes *)
+            let payload =
+              hostile_payload (fun b ->
+                  Codec.w_int b 0;
+                  Codec.w_int b 0;
+                  Codec.w_int b 1)
+            in
+            write_file path
+              (file_header Durability.Checkpoint.magic
+                 Durability.Checkpoint.version
+              ^ sealed_frame payload);
+            match Durability.Checkpoint.read path with
+            | _ -> Alcotest.fail "hostile checkpoint accepted"
+            | exception Durability.Corrupt _ -> ()));
+    quick "wal_dump reports a torn tail and leaves it in place" (fun () ->
+        with_dir "wal-dump" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "wal.bin" in
+            let wal, _ = Wal.open_ ~fsync:Durability.Config.Always path in
+            List.iter (fun r -> ignore (Wal.append wal r)) sample_records;
+            Wal.sync wal;
+            write_file path (read_file path ^ String.make 12 '\x5A');
+            let before = read_file path in
+            let dump () =
+              let out = Filename.concat dir "dump.txt" in
+              let status =
+                Sys.command
+                  (Printf.sprintf "%s %s > %s"
+                     (Filename.quote wal_dump_exe) (Filename.quote dir)
+                     (Filename.quote out))
+              in
+              Alcotest.(check int) "wal_dump exits 0" 0 status;
+              let text = read_file out in
+              Sys.remove out;
+              text
+            in
+            let first = dump () in
+            let second = dump () in
+            Alcotest.(check bool) "log bytes unchanged" true
+              (read_file path = before);
+            Alcotest.(check bool) "torn bytes reported" true
+              (String.length first > 0
+              && List.exists
+                   (fun line ->
+                     String.starts_with ~prefix:"wal: 4 records" line
+                     && String.ends_with
+                          ~suffix:"12 torn bytes after them" line)
+                   (String.split_on_char '\n' first));
+            Alcotest.(check string) "second dump reports the same" first
+              second));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -225,6 +225,21 @@ let out_of_range_tests =
               "SELECT A FROM R WHERE A < -4611686018427387904");
         check_rejected "condition" (fun () ->
             Parser.condition "A < -4611686018427387904"));
+    quick "a shifted string literal is rejected" (fun () ->
+        let check_shift what f =
+          match parse_error_of f with
+          | Some message ->
+            Alcotest.(check bool)
+              (what ^ ": " ^ message)
+              true
+              (mentions "string literal" message)
+          | None -> Alcotest.fail (what ^ " was accepted")
+        in
+        check_shift "view" (fun () ->
+            Parser.view ~lookup "SELECT A FROM R WHERE B <= 's' - 7");
+        check_shift "condition" (fun () -> Parser.condition "B = 's' + 1");
+        check_shift "fuzz counterexample" (fun () ->
+            Parser.condition "B <= 's' - 7 MAX AND FROM <= 7 MAX A ="));
   ]
 
 (* Token-level strings: SQL words, symbols and literals (huge ones

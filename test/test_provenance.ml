@@ -2,9 +2,10 @@
    (Irrelevance.explain and the per-rule drop counts), the provenance
    commit record's JSON round-trip (property-tested), the always-on
    flight-recorder ring and its post-mortem dumps on aborted commits,
-   OpenMetrics exposition conformance, the bench_diff comparison logic
-   behind the CI regression gate, and the advisor's deterministic
-   reservoir sample. *)
+   OpenMetrics exposition conformance, the BENCH_IVM.json field table
+   behind validate_snapshot and the bench_diff regression gate (every
+   row broken against the committed baseline), and the advisor's
+   deterministic reservoir sample. *)
 
 open Relalg
 open Helpers
@@ -538,6 +539,185 @@ let diff_tests =
              checked.regressions));
   ]
 
+(* The committed baseline against the field table, one row at a time. *)
+
+let baseline_snapshot =
+  lazy
+    (let path =
+       Filename.concat
+         (Filename.dirname (Filename.dirname Sys.executable_name))
+         (Filename.concat "bench" "BENCH_IVM.baseline.json")
+     in
+     match Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
+     with
+     | Ok json -> json
+     | Error m -> Alcotest.fail m)
+
+(* [edit path f json] replaces the field at [path] — in every element of
+   a [list[]] step — by [f] of its value, or removes it on [None]. *)
+let edit path f json =
+  let rec go steps json =
+    match (steps, json) with
+    | [ last ], Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k <> last then Some (k, v)
+             else Option.map (fun v -> (k, v)) (f v))
+           fields)
+    | step :: rest, Obs.Json.Obj fields ->
+      let each = String.ends_with ~suffix:"[]" step in
+      let key =
+        if each then String.sub step 0 (String.length step - 2) else step
+      in
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match v with
+             | _ when k <> key -> (k, v)
+             | Obs.Json.List items when each ->
+               (k, Obs.Json.List (List.map (go rest) items))
+             | v -> (k, if each then v else go rest v))
+           fields)
+    | _, other -> other
+  in
+  go (String.split_on_char '.' path) json
+
+let set_at path v = edit path (fun _ -> Some v)
+
+let mentions needle message =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length message
+    && (String.sub message i n = needle || at (i + 1))
+  in
+  at 0
+
+let scale factor = function
+  | Obs.Json.Int i -> Obs.Json.Int (int_of_float (float_of_int i *. factor))
+  | Obs.Json.Float x -> Obs.Json.Float (x *. factor)
+  | other -> other
+
+(* A message reports [row] when it names every piece of its path around
+   the list steps: "views[].p50_ns" is reported as
+   "views.dashboard.p50_ns ...". *)
+let reports (row : Obs.Snapshot_diff.row) messages =
+  let pieces =
+    List.filter (( <> ) "") (String.split_on_char '[' row.path)
+    |> List.map (fun p ->
+           if String.starts_with ~prefix:"]" p then
+             String.sub p 1 (String.length p - 1)
+           else p)
+  in
+  List.exists (fun m -> List.for_all (fun p -> mentions p m) pieces) messages
+
+(* Each way to break [row]: its field removed, wrongly typed, past its
+   gate, or past its compare class. *)
+let breakages (row : Obs.Snapshot_diff.row) =
+  let open Obs.Snapshot_diff in
+  let retype =
+    match row.need with
+    | Present -> []
+    | Text -> [ ("wrongly typed", set_at row.path (Obs.Json.Int 1)) ]
+    | _ -> [ ("wrongly typed", set_at row.path (Obs.Json.Str "x")) ]
+  in
+  let past_gate =
+    match row.gate with
+    | None -> []
+    | Some (Budget pct) -> [ set_at row.path (Obs.Json.Float (pct *. 2.0)) ]
+    | Some (Must_beat floor) ->
+      [ set_at row.path (Obs.Json.Float (floor /. 2.0)) ]
+    | Some (Scaling { floor; _ }) ->
+      [
+        (fun json ->
+          json
+          |> set_at "parallel.cores_available" (Obs.Json.Int 8)
+          |> set_at row.path (Obs.Json.Float ((floor /. 2.0) -. 0.5)));
+      ]
+    | Some (Equal_to _) -> [ edit row.path (fun v -> Some (scale 0.5 v)) ]
+    | Some (At_least n) -> [ set_at row.path (Obs.Json.Int (n - 1)) ]
+  in
+  let past_compare =
+    match row.compare with
+    | None -> []
+    | Some (Drift | Never_lower) ->
+      [ edit row.path (fun v -> Some (scale 0.5 v)) ]
+    | Some (Share_of _) -> [ set_at row.path (Obs.Json.Int 0) ]
+    | Some Timing_higher -> [ edit row.path (fun v -> Some (scale 10.0 v)) ]
+    | Some Timing_lower -> [ edit row.path (fun v -> Some (scale 0.1 v)) ]
+  in
+  (("missing", edit row.path (fun _ -> None)) :: retype)
+  @ List.map (fun f -> ("past its gate", f)) past_gate
+  @ List.map (fun f -> ("past its compare class", f)) past_compare
+
+let table_tests =
+  let open Obs.Snapshot_diff in
+  [
+    quick "the committed baseline passes the table" (fun () ->
+        let report = validate (Lazy.force baseline_snapshot) in
+        Alcotest.(check (list string)) "no errors" [] report.errors;
+        Alcotest.(check bool) "gated values summarised" true
+          (report.summary <> []));
+    quick "every broken row is reported by both gates" (fun () ->
+        let baseline = Lazy.force baseline_snapshot in
+        List.iter
+          (fun row ->
+            List.iter
+              (fun (how, break) ->
+                let broken = break baseline in
+                let what = Printf.sprintf "%s %s" row.path how in
+                let report = validate broken in
+                if how <> "past its compare class" then
+                  Alcotest.(check bool)
+                    (what ^ ": validate reports it")
+                    true
+                    (reports row (report.errors @ report.warnings));
+                let o = compare_snapshots default ~baseline ~current:broken in
+                Alcotest.(check bool)
+                  (what ^ ": compare_snapshots reports it")
+                  true
+                  (reports row (o.regressions @ o.notes)))
+              (breakages row))
+          rows);
+    quick "E23 and the five later gates broken: six errors" (fun () ->
+        let broken =
+          Lazy.force baseline_snapshot
+          |> set_at "parallel.cores_available" (Obs.Json.Int 2)
+          |> set_at "parallel.sharded.speedup_at_2" (Obs.Json.Float 0.51)
+          |> set_at "resilience.journal_overhead_pct" (Obs.Json.Float 50.0)
+          |> set_at "self_maintenance.eval_reduction" (Obs.Json.Float 0.2)
+          |> set_at "provenance.recorder_overhead_pct" (Obs.Json.Float 50.0)
+          |> set_at "aggregate.speedup" (Obs.Json.Float 0.1)
+          |> set_at "durability.wal_overhead_pct" (Obs.Json.Float 99.0)
+        in
+        let report = validate broken in
+        Alcotest.(check int) "six errors" 6 (List.length report.errors);
+        List.iter
+          (fun path ->
+            Alcotest.(check bool) path true
+              (List.exists (mentions path) report.errors))
+          [
+            "parallel.sharded.speedup_at_2"; "resilience.journal_overhead_pct";
+            "self_maintenance.eval_reduction";
+            "provenance.recorder_overhead_pct"; "aggregate.speedup";
+            "durability.wal_overhead_pct";
+          ]);
+    quick "a snapshot failing E23 at 2 cores passes against itself"
+      (fun () ->
+        let s =
+          Lazy.force baseline_snapshot
+          |> set_at "parallel.cores_available" (Obs.Json.Int 2)
+          |> set_at "parallel.sharded.speedup_at_2" (Obs.Json.Float 0.51)
+        in
+        Alcotest.(check bool) "validate fails E23" true
+          ((validate s).errors <> []);
+        List.iter
+          (fun opts ->
+            let o = compare_snapshots opts ~baseline:s ~current:s in
+            Alcotest.(check (list string)) "no regressions" [] o.regressions)
+          [ default; { default with check_timing = true } ]);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Advisor reservoir sample                                            *)
 (* ------------------------------------------------------------------ *)
@@ -589,6 +769,6 @@ let () =
       ("commit json round-trip", roundtrip_tests);
       ("flight recorder", recorder_tests);
       ("openmetrics", openmetrics_tests);
-      ("snapshot diff", diff_tests);
+      ("snapshot diff", diff_tests @ table_tests);
       ("advisor reservoir", reservoir_tests);
     ]

@@ -4,18 +4,21 @@
                 [--check-timing] [--ignore-timing]
      bench_diff --self-test FILE
 
-   Deterministic fields (commit counts, screening ratios, advisor
-   calibration presence, self-maintenance coverage) are compared with a
-   relative [--tolerance] (default 0.30) and always gate.  Timing fields
-   (latency percentiles, speedup curve, journaling overhead) gate only
-   with [--check-timing] — CI compares snapshots recorded on different
-   hardware, so by default a timing drift beyond [--timing-tolerance]
-   (default 3.0x) is reported as a note, not a regression.
+   Both files are read through the field table in Obs.Snapshot_diff,
+   the one validate_snapshot checks.  A field the baseline has that the
+   current snapshot lacks or mistypes regresses, and a gate regresses
+   only where the baseline passes it.  Deterministic fields (commit
+   counts, screening ratios, groups touched, records replayed) are
+   compared with a relative [--tolerance] (default 0.30) and always
+   gate.  Timing fields (latency percentiles, speedup curves) and the
+   overhead budgets and scaling floors gate only with [--check-timing]
+   — CI compares snapshots recorded on different hardware, so by
+   default a timing drift beyond [--timing-tolerance] (default 3.0x) is
+   reported as a note, not a regression.
 
    [--self-test FILE] proves the gate can fail: the file must pass
-   against itself and must NOT pass against a synthetically degraded
-   in-memory copy (commits halved, screening collapsed, latency 10x,
-   advisor pairs emptied, self-maintenance coverage broken).
+   against itself and must NOT pass against a degraded in-memory copy
+   with every gated or compared field pushed past its check.
 
    Exit codes: 0 clean, 1 regression (or a self-test that failed to
    fail), 2 usage/parse problems.  The comparison logic itself lives in

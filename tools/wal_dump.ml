@@ -1,6 +1,7 @@
 (* Dump a durability directory in human-readable form: the checkpoint
    summary and every WAL record with its full net effect.  Debugging
-   companion to `ivm-cli recover`. *)
+   companion to `ivm-cli recover`; it only reads, so a torn tail or a
+   missing log is reported, never repaired. *)
 
 let pp_rel name (r : Relalg.Relation.t) =
   Printf.printf "    %s: %d tuples (%d counted)\n" name
@@ -57,12 +58,8 @@ let () =
                         (tuples del))
                     p))))
       st.Durability.State.views);
-  let wal, entries =
-    Durability.Wal.open_ ~fsync:Durability.Config.Never
-      (Durability.Config.wal_path config)
-  in
+  let entries, torn = Durability.Wal.read (Durability.Config.wal_path config) in
   Printf.printf "wal: %d records, last lsn %d%s\n" (List.length entries)
-    (Durability.Wal.last_lsn wal)
-    (let torn = Durability.Wal.torn_bytes wal in
-     if torn > 0 then Printf.sprintf ", %d torn bytes truncated" torn else "");
+    (List.fold_left (fun acc (lsn, _) -> max acc lsn) 0 entries)
+    (if torn > 0 then Printf.sprintf ", %d torn bytes after them" torn else "");
   List.iter (fun (lsn, record) -> dump_record lsn record) entries
