@@ -327,8 +327,8 @@ let e15 () =
             ~key_range:50_000
         in
         if indexed then begin
-          ignore (Relalg.Index.build (Database.find db "R") [ "B" ]);
-          ignore (Relalg.Index.build (Database.find db "S") [ "B" ])
+          ignore (Relation.index (Database.find db "R") ~positions:[| 1 |]);
+          ignore (Relation.index (Database.find db "S") ~positions:[| 0 |])
         end;
         let txn =
           Generate.mixed_transaction rng db

@@ -171,13 +171,13 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
          chew, which keeps every domain busy without paying submission
          overhead for tiny rows. *)
       let pool = Option.get pool in
-      let shard_cache : (int, Relation.t array) Hashtbl.t =
-        Hashtbl.create 8
-      in
       (* Inserts and Deletes sides of a row share their [Old_part]
-         operands, so shards are cached per physical store. *)
+         operands, so shards are cached per operand, by physical
+         identity: two [reschema] aliases of one store are two operands
+         with two schemas, and each needs shards carrying its own. *)
+      let shard_cache = ref [] in
       let shards_of r =
-        match Hashtbl.find_opt shard_cache (Relation.storage_id r) with
+        match List.assq_opt r !shard_cache with
         | Some shards -> shards
         | None ->
           let shards =
@@ -189,7 +189,7 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
                 ])
               (fun () -> Relation.shard ~n:pool_size r)
           in
-          Hashtbl.add shard_cache (Relation.storage_id r) shards;
+          shard_cache := (r, shards) :: !shard_cache;
           shards
       in
       let failure = ref None in

@@ -311,7 +311,11 @@ let entry mgr name =
   | None -> raise Not_found
 
 let create_index mgr ~relation ~attrs =
-  ignore (Index.build (Database.find mgr.db relation) attrs)
+  let r = Database.find mgr.db relation in
+  let positions =
+    Array.of_list (List.map (Schema.position (Relation.schema r)) attrs)
+  in
+  ignore (Relation.index r ~positions)
 
 let view mgr name = (entry mgr name).view
 let stats mgr name = (entry mgr name).stats
@@ -886,7 +890,6 @@ let auto_heal mgr =
   if replaying mgr then []
   else begin
     if Option.is_some mgr.durable then begin
-      require_recovered ~op:"Manager.commit" mgr;
       ensure_baseline mgr;
       (* Crash point before anything moves: a simulated death here
          recovers to the pre-commit state. *)
@@ -1308,13 +1311,16 @@ let commit mgr txn =
       ])
     (fun () ->
       let t_start = Obs.Clock.now_ns () in
-      let heals = auto_heal mgr in
-      mgr.commit_seq <- mgr.commit_seq + 1;
+      require_recovered ~op:"Manager.commit" mgr;
+      (* Net before anything moves: an invalid transaction raises with no
+         baseline written, no view healed and no sequence number used. *)
       let net =
         Obs.Span.with_span "net"
           ~args:(fun () -> [ ("ops", Obs.Json.Int (List.length txn)) ])
           (fun () -> Transaction.net_effect mgr.db txn)
       in
+      let heals = auto_heal mgr in
+      mgr.commit_seq <- mgr.commit_seq + 1;
       let att =
         {
           net;

@@ -13,30 +13,10 @@ let () =
            view reads)
     | _ -> None)
 
-module Tuple_table = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-(* Auxiliary key index over the view's contents: key signature (the view
-   positions recovering the deleted relation's key) -> live tuples with
-   their counters.  Unlike Relalg.Index there is no process-wide registry:
-   the index belongs to one drain plan, and when the contents' storage
-   identity changes (recompute/restore) the stale index is deactivated and
-   dropped, so nothing leaks across rebuilds. *)
-type kindex = {
-  key_of : Tuple.t -> Tuple.t;
-  buckets : int Tuple_table.t Tuple_table.t;
-  mutable active : bool;
-}
-
 type drain_plan = {
   sig_base : int array;  (* deleted-tuple positions forming the signature *)
   sig_outputs : int array;  (* view-tuple positions, aligned with sig_base *)
   consts : (int * Value.t) list;  (* deleted-tuple position -> pinned value *)
-  mutable index : (int * kindex) option;  (* storage id it tracks *)
 }
 
 type single = {
@@ -98,7 +78,6 @@ let of_spj ~name ~keys ~lookup (spj : Query.Spj.t) =
                 sig_base = Array.of_list (List.map fst outputs);
                 sig_outputs = Array.of_list (List.map snd outputs);
                 consts;
-                index = None;
               }
             in
             Some (relation, List.map compile plans))
@@ -141,47 +120,6 @@ let applies t ~net =
 (* delta evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let index_apply idx tuple delta =
-  if idx.active then begin
-    let key = idx.key_of tuple in
-    let bucket =
-      match Tuple_table.find_opt idx.buckets key with
-      | Some bucket -> bucket
-      | None ->
-        let bucket = Tuple_table.create 4 in
-        Tuple_table.replace idx.buckets key bucket;
-        bucket
-    in
-    let current = Option.value ~default:0 (Tuple_table.find_opt bucket tuple) in
-    let updated = current + delta in
-    if updated <= 0 then begin
-      Tuple_table.remove bucket tuple;
-      if Tuple_table.length bucket = 0 then Tuple_table.remove idx.buckets key
-    end
-    else Tuple_table.replace bucket tuple updated
-  end
-
-let ensure_index plan contents =
-  let storage = Relation.storage_id contents in
-  match plan.index with
-  | Some (id, idx) when id = storage -> idx
-  | stale ->
-    (match stale with
-    | Some (_, idx) -> idx.active <- false
-    | None -> ());
-    let positions = plan.sig_outputs in
-    let idx =
-      {
-        key_of = (fun tuple -> Array.map (fun j -> tuple.(j)) positions);
-        buckets = Tuple_table.create (max 16 (Relation.cardinal contents));
-        active = true;
-      }
-    in
-    Relation.iter (fun tuple c -> index_apply idx tuple c) contents;
-    Relation.subscribe contents (index_apply idx);
-    plan.index <- Some (storage, idx);
-    idx
-
 (* All derivations of a view tuple share the one base tuple whose key the
    view recovers, so a matching deletion drains the tuple at its full
    multiplicity.  [drain] dedupes across plans and relations: a view tuple
@@ -191,27 +129,23 @@ let drain_matches plan contents deleted drain =
     List.for_all
       (fun (pos, v) -> Value.equal deleted.(pos) v)
       plan.consts
-  then begin
-    let idx = ensure_index plan contents in
-    let key = Array.map (fun pos -> deleted.(pos)) plan.sig_base in
-    match Tuple_table.find_opt idx.buckets key with
-    | None -> ()
-    | Some bucket -> Tuple_table.iter drain bucket
-  end
+  then
+    Relation.iter_matches
+      (Relation.index contents ~positions:plan.sig_outputs)
+      (Tuple.project plan.sig_base deleted)
+      drain
 
 let delta t ~contents ~net =
   let schema = Relation.schema contents in
-  let inserts = ref [] in
-  let direct_deletes = ref [] in
-  let drained : int Tuple_table.t = Tuple_table.create 16 in
+  (* Sized for the few update tuples this path serves; tables grow. *)
+  let inserts = Relation.create ~size_hint:16 schema in
+  let deletes = Relation.create ~size_hint:16 schema in
   List.iter
     (fun (relation, (ins, dels)) ->
       if List.mem relation t.relations then
         match t.single with
         | Some s when String.equal s.s_relation relation ->
-          let project tuple =
-            Array.map (fun p -> tuple.(p)) s.s_positions
-          in
+          let project = Tuple.project s.s_positions in
           let passes tuple =
             let sub = Condition.Substitute.of_tuple s.s_qualified tuple in
             Condition.Formula.eval_dnf
@@ -224,15 +158,11 @@ let delta t ~contents ~net =
                        "Self_maintain.delta: unbound attribute %s" a))
               s.s_dnf
           in
-          List.iter
-            (fun tuple ->
-              if passes tuple then inserts := (project tuple, 1) :: !inserts)
-            ins;
-          List.iter
-            (fun tuple ->
-              if passes tuple then
-                direct_deletes := (project tuple, 1) :: !direct_deletes)
-            dels
+          let keep into tuple =
+            if passes tuple then Relation.add into (project tuple)
+          in
+          List.iter (keep inserts) ins;
+          List.iter (keep deletes) dels
         | _ -> (
           match List.assoc_opt relation t.drains with
           | None -> () (* not covered; [applies] rules this out *)
@@ -242,16 +172,9 @@ let delta t ~contents ~net =
                 List.iter
                   (fun plan ->
                     drain_matches plan contents deleted (fun tuple count ->
-                        if not (Tuple_table.mem drained tuple) then
-                          Tuple_table.replace drained tuple count))
+                        if not (Relation.mem deletes tuple) then
+                          Relation.update deletes tuple count))
                   plans)
               dels))
     net;
-  let deletes =
-    Tuple_table.fold (fun tuple count acc -> (tuple, count) :: acc) drained
-      !direct_deletes
-  in
-  {
-    Delta.inserts = Relation.of_counted schema !inserts;
-    deletes = Relation.of_counted schema deletes;
-  }
+  { Delta.inserts; deletes }

@@ -14,10 +14,11 @@
       derivations of a view tuple share the single base tuple carrying
       that key, so they die together.
 
-    The keyed drain is backed by a small auxiliary index over the view's
-    contents (key signature -> tuples), maintained incrementally through
-    {!Relalg.Relation.subscribe} and rebuilt lazily when the contents'
-    storage identity changes (recompute / restore install fresh storage).
+    The keyed drain probes an index on the view's contents keyed by the
+    signature's output positions ({!Relalg.Relation.index}).  The index
+    belongs to the contents' store, so every write to the view keeps it
+    in step — recompute, restore and rollback included, since they all
+    write in place.
 
     The zero-reads claim is enforced, not assumed: {!Maintenance} runs
     {!delta} under {!Relalg.Database.probe_reads} and raises

@@ -66,23 +66,15 @@ let durable_lsn (config : Durability.Config.t) =
   let records = Durability.Wal.entries (Durability.Config.wal_path config) in
   List.fold_left (fun acc (lsn, _, _) -> max acc lsn) ckpt_lsn records
 
-let define_all mgr (s : Stream.t) =
-  List.iter
-    (fun (spec : Stream.view_spec) ->
-      ignore
-        (Manager.define_view mgr ~name:spec.Stream.view_name ~force:true
-           ~options:spec.Stream.options ~keys:spec.Stream.keys
-           spec.Stream.expr))
-    s.Stream.views
-
-(* Expect recovery of [dir] (views re-defined over a fresh build of the
-   stream's initial state) to land exactly on [expected]. *)
+(* Expect recovery of [dir] (views re-defined and indexes rebuilt over a
+   fresh build of the stream's initial state) to land exactly on
+   [expected]. *)
 let recover_and_check ~index ~what ~policy (s : Stream.t) config expected =
   let db = Stream.build_db s in
   let mgr =
     Manager.create ~domains:s.Stream.domains ~policy ~durability:config db
   in
-  define_all mgr s;
+  Harness.install mgr s;
   let info = Manager.recover mgr in
   (match Durability.State.diff expected (Manager.capture_state mgr) with
   | None -> ()
@@ -112,7 +104,7 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
   let config = Durability.Config.make ~fsync ~checkpoint_every dir in
   let db = Stream.build_db s in
   let mgr = Manager.create ~domains:s.Stream.domains ~policy ~durability:config db in
-  define_all mgr s;
+  Harness.install mgr s;
   let reference = Reference.create db in
   List.iter
     (fun (spec : Stream.view_spec) ->

@@ -166,11 +166,7 @@ let unhealthy mgr =
       | Manager.Quarantined _ | Manager.Disabled _ -> Some name)
     (Manager.health mgr)
 
-let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
-    ?(policy = Resilience.Policy.Abort) ?stats (s : Stream.t) =
-  let stats = Option.value stats ~default:(fresh_stats ()) in
-  let db = Stream.build_db s in
-  let mgr = Manager.create ~domains:s.Stream.domains ~policy db in
+let install mgr (s : Stream.t) =
   List.iter
     (fun (spec : Stream.view_spec) ->
       ignore
@@ -178,6 +174,31 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
            ~options:spec.Stream.options ~keys:spec.Stream.keys
            spec.Stream.expr))
     s.Stream.views;
+  List.iter
+    (fun (relation, attr) -> Manager.create_index mgr ~relation ~attrs:[ attr ])
+    s.Stream.indexes
+
+(* The self-heal ladder's explicit form: heal rounds while the view stays
+   quarantined, as many as the engine grants before it disables one.  A
+   view that cannot heal yet (a child of a disabled parent) stays
+   quarantined without spending budget, hence the bound. *)
+let heal_within_ladder mgr name =
+  let rec go rounds =
+    Manager.heal mgr name
+    || rounds > 1
+       && (match Manager.view_health mgr name with
+          | Manager.Quarantined _ -> true
+          | Manager.Healthy | Manager.Disabled _ -> false)
+       && go (rounds - 1)
+  in
+  go Resilience.Retry.default_schedule.Resilience.Retry.rounds
+
+let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
+    ?(policy = Resilience.Policy.Abort) ?stats (s : Stream.t) =
+  let stats = Option.value stats ~default:(fresh_stats ()) in
+  let db = Stream.build_db s in
+  let mgr = Manager.create ~domains:s.Stream.domains ~policy db in
+  install mgr s;
   let reference = Reference.create db in
   List.iter
     (fun (spec : Stream.view_spec) ->
@@ -237,20 +258,19 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
                  kind = Materialization;
                  detail = "engine raised: " ^ Printexc.to_string exn;
                }))
-      s.Stream.transactions
-  with
-  | () ->
+      s.Stream.transactions;
     let last = List.length s.Stream.transactions - 1 in
     (* End of stream: every quarantined view must self-heal (faults are
        still active — healing is what the retry/recompute ladder is
        for), after which the full state must agree with the oracle. *)
     let stale_at_end = unhealthy mgr in
-    let still_stale =
-      List.filter (fun name -> not (Manager.heal mgr name)) stale_at_end
-    in
-    (match still_stale with
-    | [] -> ()
-    | name :: _ ->
+    (match
+       List.find_opt
+         (fun name -> not (heal_within_ladder mgr name))
+         stale_at_end
+     with
+    | None -> ()
+    | Some name ->
       raise
         (Diverged
            {
@@ -269,6 +289,7 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
              view = "";
              kind = Health;
              detail = "all_consistent false at end of stream";
-           });
-    None
+           })
+  with
+  | () -> None
   | exception Diverged d -> Some d

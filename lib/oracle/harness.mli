@@ -52,6 +52,10 @@ val unhealthy : Ivm.Manager.t -> string list
     violated check. *)
 exception Diverged of divergence
 
+(** [install mgr stream] defines the stream's views on [mgr], then builds
+    its indexes. *)
+val install : Ivm.Manager.t -> Stream.t -> unit
+
 (** One lockstep comparison: base relations, then every materialization
     (tuples {e and} counters) not in [skip], against the reference.
     @raise Diverged on the first mismatch.  Exposed for the
@@ -77,11 +81,13 @@ val compare_states :
     succeed (healthy views agree with the oracle), abort cleanly
     ([Commit_failed] with the engine bit-identical to the oracle's
     pre-commit state — the reference does not step), or quarantine views
-    that must self-heal; at end of stream every quarantined view is
-    healed, the full state compared, and {!Ivm.Manager.all_consistent}
-    must hold.  Without faults, any commit exception is an engine bug and
-    reported as a divergence.  [policy] (default [Abort]) is the
-    manager's failure policy; [stats] accumulates commit outcomes. *)
+    that must self-heal; at end of stream every quarantined view gets
+    heal rounds while it stays quarantined, up to the self-heal ladder's
+    [Retry.default_schedule.rounds], then the full state is compared
+    and {!Ivm.Manager.all_consistent} must hold.  Without faults, any
+    commit exception is an engine bug and reported as a divergence.
+    [policy] (default [Abort]) is the manager's failure policy; [stats]
+    accumulates commit outcomes. *)
 val run :
   ?corrupt:(Ivm.Manager.t -> int -> unit) ->
   ?fault_rate:float ->

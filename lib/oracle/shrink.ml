@@ -69,6 +69,14 @@ let drop_views fails (s : Stream.t) =
   in
   { s with Stream.views }
 
+let drop_indexes fails (s : Stream.t) =
+  let indexes =
+    shrink_list
+      (fun indexes -> fails { s with Stream.indexes })
+      s.Stream.indexes
+  in
+  { s with Stream.indexes }
+
 let drop_initial_tuples fails (s : Stream.t) =
   let relations = ref s.Stream.relations in
   List.iteri
@@ -150,6 +158,7 @@ let minimize ?(max_rounds = 10) fails stream =
     current := drop_transactions fails !current;
     current := drop_operations fails !current;
     current := drop_views fails !current;
+    current := drop_indexes fails !current;
     current := drop_initial_tuples fails !current;
     current := shrink_values fails !current;
     progress := Stream.size !current < before

@@ -7,6 +7,7 @@
     + drop whole transactions (binary chunks first, then one by one);
     + drop individual operations inside the remaining transactions;
     + drop whole views (a counterexample rarely needs more than one);
+    + drop indexes;
     + drop initial tuples from the base relations;
     + shrink integer values toward zero.
 

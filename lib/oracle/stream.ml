@@ -16,6 +16,7 @@ type t = {
   domains : int;
   relations : (string * Schema.t * Generate.column list * Tuple.t list) list;
   views : view_spec list;
+  indexes : (string * Attr.t) list;
   transactions : Transaction.t list;
 }
 
@@ -24,6 +25,7 @@ let size s =
   + List.fold_left (fun acc txn -> acc + List.length txn) 0 s.transactions
   + List.fold_left (fun acc (_, _, _, ts) -> acc + List.length ts) 0 s.relations
   + List.length s.views
+  + List.length s.indexes
 
 let build_db s =
   let db = Database.create () in
@@ -119,7 +121,17 @@ let view_templates =
            ((v "C" >% i 2) &&% (v "D" <% i 300))
            (join (base "S") (base "T"))));
     Query.Expr.(project [ "C" ] (select (v "C" <>% i 7) (base "S")));
+    (* A self-join: two aliases of one store in every truth-table row. *)
+    Query.Expr.(
+      project [ "A"; "A2" ]
+        (select (v "B" =% v "B2")
+           (product (base "R")
+              (rename [ ("A", "A2"); ("B", "B2") ] (base "R")))));
   |]
+
+(* The join keys of the family.  A stream indexes a random subset, so
+   the index probe of [Ops.hash_join] runs in lockstep too. *)
+let join_keys = [ ("R", "B"); ("S", "B"); ("S", "C"); ("T", "C") ]
 
 (* Base relations are sets, so the full attribute list is always a sound
    candidate key — streams declare it for every relation, which arms the
@@ -411,7 +423,9 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
         Transaction.apply scratch (Transaction.net_effect scratch txn);
         txn)
   in
-  { seed; domains; relations; views; transactions = txns }
+  (* Drawn last, so the rest of the stream is the same with or without. *)
+  let indexes = List.filter (fun _ -> Rng.chance rng 0.5) join_keys in
+  { seed; domains; relations; views; indexes; transactions = txns }
 
 (* ------------------------------------------------------------------ *)
 (* printing                                                            *)
@@ -468,6 +482,9 @@ let pp ppf s =
       Format.fprintf ppf "view %s [%a]:@,  %a@," v.view_name pp_options
         v.options Query.Expr.pp v.expr)
     s.views;
+  List.iter
+    (fun (relation, attr) -> Format.fprintf ppf "index %s.%s@," relation attr)
+    s.indexes;
   List.iteri
     (fun i txn ->
       Format.fprintf ppf "transaction %d:%s@," (i + 1)

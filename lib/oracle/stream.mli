@@ -29,20 +29,24 @@ type t = {
   relations : (string * Schema.t * Workload.Generate.column list * Tuple.t list) list;
       (** name, schema, generator recipe, initial contents *)
   views : view_spec list;
+  indexes : (string * Attr.t) list;
+      (** join-key indexes (relation, attribute) built after the views *)
   transactions : Transaction.t list;
 }
 
 (** Counted size of the stream, for shrinker progress: transactions +
-    operations + initial tuples + views. *)
+    operations + initial tuples + views + indexes. *)
 val size : t -> int
 
 (** [generate ~seed ~transactions ~domains ()] derives a full random
     scenario from the seed: the joinable R(A,B) / S(B,C) / T(C,D) family
-    with random sizes, 2–4 views mixing forced and advisor-chosen
-    strategies with screening on and off, and a transaction stream mixing
-    plain insert/delete batches, overlapping multi-relation updates,
-    correlated deletes, update-as-delete+insert pairs, no-op transactions
-    and inserts provably irrelevant by Theorem 4.1.
+    with random sizes, 2–4 views (a self-join of R among the templates)
+    mixing forced and advisor-chosen strategies with screening on and
+    off, and a transaction stream mixing plain insert/delete batches,
+    overlapping multi-relation updates, correlated deletes,
+    update-as-delete+insert pairs, no-op transactions and inserts
+    provably irrelevant by Theorem 4.1.  Last, it draws a subset of the
+    join-key indexes R.B, S.B, S.C and T.C.
 
     With [~aggregates:true] the scenario additionally draws 1–2 GROUP BY
     views (COUNT/SUM/AVG/MIN/MAX over the same family, grouped and

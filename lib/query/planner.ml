@@ -63,42 +63,12 @@ let common_atoms = function
       (fun a -> List.for_all (fun c -> List.exists (atom_equal a) c) rest)
       first
 
-(* Join two operands.  With hash joins, when the probe side is a base
-   relation carrying a maintained index on exactly these key positions and
-   the build side is much smaller (the usual delta-against-base case of
-   differential maintenance), probe the index per build tuple instead of
-   scanning the base relation. *)
+(* Join two operands.  [Ops.equijoin] probes a maintained index on
+   either side's join columns when one exists. *)
 let join_operands ~join_impl acc next ~oriented_keys =
   match join_impl with
   | `Nested_loop -> Ops.nested_loop_join acc next ~keys:oriented_keys
-  | `Hash ->
-    if oriented_keys = [] then Ops.equijoin acc next ~keys:[]
-    else begin
-      let sa = Relation.schema acc and sb = Relation.schema next in
-      let positions_b =
-        Array.of_list
-          (List.map (fun (_, kb) -> Schema.position sb kb) oriented_keys)
-      in
-      let index =
-        if 4 * Relation.cardinal acc < Relation.cardinal next then
-          Index.find next ~positions:positions_b
-        else None
-      in
-      match index with
-      | None -> Ops.equijoin acc next ~keys:oriented_keys
-      | Some index ->
-        let positions_a =
-          Array.of_list
-            (List.map (fun (ka, _) -> Schema.position sa ka) oriented_keys)
-        in
-        let out = Relation.create (Schema.concat sa sb) in
-        Relation.iter
-          (fun ta ca ->
-            Index.iter_matches index (Tuple.project positions_a ta)
-              (fun tb cb -> Relation.update out (Tuple.concat ta tb) (ca * cb)))
-          acc;
-        out
-    end
+  | `Hash -> Ops.equijoin acc next ~keys:oriented_keys
 
 type bound_source = {
   alias : string;

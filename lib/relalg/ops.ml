@@ -56,13 +56,13 @@ let hash_join a b ~key_positions_a ~key_positions_b ~out_schema ~emit =
     Relation.iter
       (fun t c ->
         let key = Tuple.project probe_keys t in
-        Index.iter_matches index key (fun t' c' ->
+        Relation.iter_matches index key (fun t' c' ->
             if a_indexed then Relation.update out (emit t' t) (c' * c)
             else Relation.update out (emit t t') (c * c')))
       probe
   in
-  let index_a = Index.find a ~positions:key_positions_a in
-  let index_b = Index.find b ~positions:key_positions_b in
+  let index_a = Relation.find_index a ~positions:key_positions_a in
+  let index_b = Relation.find_index b ~positions:key_positions_b in
   match index_a, index_b with
   | Some ia, Some ib ->
     (* Both indexed: probe from the smaller side, as below. *)

@@ -14,34 +14,24 @@ end)
    strictly positive. *)
 module R = Ring.Count
 
+(* A secondary index: key (the tuple's columns at [positions]) -> the
+   tuples carrying it, with their counters. *)
+type index = {
+  positions : int array;
+  buckets : int Tuple_table.t Tuple_table.t;
+}
+
 type t = {
   schema : Schema.t;
   table : int Tuple_table.t;
-  storage_id : int;
-  observers : (Tuple.t -> int -> unit) list ref;
+  indexes : index list ref;  (* shared by [reschema] aliases *)
   mutable total : int;
 }
-
-(* Atomic: relations are created from pool worker domains during
-   parallel maintenance, and duplicate storage ids would alias entries
-   in the index registry. *)
-let next_storage_id = Atomic.make 0
-
-let fresh_storage_id () = 1 + Atomic.fetch_and_add next_storage_id 1
 
 exception Negative_count of Tuple.t
 
 let create ?(size_hint = 64) schema =
-  {
-    schema;
-    table = Tuple_table.create size_hint;
-    storage_id = fresh_storage_id ();
-    observers = ref [];
-    total = 0;
-  }
-
-let storage_id r = r.storage_id
-let subscribe r observer = r.observers := observer :: !(r.observers)
+  { schema; table = Tuple_table.create size_hint; indexes = ref []; total = 0 }
 
 let schema r = r.schema
 let cardinal r = Tuple_table.length r.table
@@ -49,6 +39,23 @@ let total r = r.total
 let is_empty r = cardinal r = 0
 let count r t = Option.value ~default:R.zero (Tuple_table.find_opt r.table t)
 let mem r t = Tuple_table.mem r.table t
+
+(* Set [t]'s counter in [index] to [c], the store's new counter. *)
+let index_set index t c =
+  let key = Tuple.project index.positions t in
+  match Tuple_table.find_opt index.buckets key with
+  | Some bucket ->
+    if R.is_zero c then begin
+      Tuple_table.remove bucket t;
+      if Tuple_table.length bucket = 0 then Tuple_table.remove index.buckets key
+    end
+    else Tuple_table.replace bucket t c
+  | None ->
+    if not (R.is_zero c) then begin
+      let bucket = Tuple_table.create 4 in
+      Tuple_table.replace bucket t c;
+      Tuple_table.replace index.buckets key bucket
+    end
 
 let update r t delta =
   if not (R.is_zero delta) then begin
@@ -58,9 +65,9 @@ let update r t delta =
     else if R.is_zero updated then Tuple_table.remove r.table t
     else Tuple_table.replace r.table t updated;
     r.total <- R.add r.total delta;
-    match !(r.observers) with
+    match !(r.indexes) with
     | [] -> ()
-    | observers -> List.iter (fun observe -> observe t delta) observers
+    | indexes -> List.iter (fun index -> index_set index t updated) indexes
   end
 
 let add ?(count = 1) r t =
@@ -104,12 +111,11 @@ let of_counted schema counted =
   r
 
 let copy r =
-  (* A copy is a distinct store: fresh identity, no observers. *)
+  (* A copy is a distinct store: it starts without indexes. *)
   {
     schema = r.schema;
     table = Tuple_table.copy r.table;
-    storage_id = fresh_storage_id ();
-    observers = ref [];
+    indexes = ref [];
     total = r.total;
   }
 
@@ -133,9 +139,9 @@ let shard ~n r =
 let union_into ~into r = iter (fun t c -> update into t c) r
 let diff_into ~into r = iter (fun t c -> update into t (-c)) r
 
-(* In-place overwrite via counter updates, so subscribed observers (and
-   anything else aliasing the store, e.g. a manager catalog entry) see a
-   coherent sequence of deltas rather than a swapped object. *)
+(* In-place overwrite via counter updates, so the store's indexes follow
+   and anything aliasing the store (a manager catalog entry, a
+   [reschema] alias) keeps seeing it, rather than a swapped object. *)
 let assign ~into ~src =
   if Schema.arity into.schema <> Schema.arity src.schema then
     invalid_arg "Relation.assign: arity mismatch";
@@ -150,6 +156,44 @@ let assign ~into ~src =
   in
   List.iter (fun (t, delta) -> update into t delta) changed;
   iter (fun t c -> if not (mem into t) then update into t c) src
+
+(* Not [List.find_opt]: [Ops.hash_join] looks both sides up on every
+   join, and a closure over [positions] would allocate each time. *)
+let rec find_positions positions = function
+  | [] -> None
+  | index :: rest ->
+    if index.positions = positions then Some index
+    else find_positions positions rest
+
+let find_index r ~positions = find_positions positions !(r.indexes)
+
+let index r ~positions =
+  match find_index r ~positions with
+  | Some index -> index
+  | None ->
+    let arity = Schema.arity r.schema in
+    if Array.exists (fun p -> p < 0 || p >= arity) positions then
+      invalid_arg "Relation.index: position out of range";
+    let index =
+      {
+        positions = Array.copy positions;
+        buckets = Tuple_table.create (max 16 (cardinal r));
+      }
+    in
+    iter (index_set index) r;
+    r.indexes := index :: !(r.indexes);
+    index
+
+let drop_index r ~positions =
+  r.indexes :=
+    List.filter (fun index -> index.positions <> positions) !(r.indexes)
+
+let iter_matches index key f =
+  match Tuple_table.find_opt index.buckets key with
+  | None -> ()
+  | Some bucket -> Tuple_table.iter f bucket
+
+let key_count index = Tuple_table.length index.buckets
 
 let union a b =
   let r = copy a in

@@ -61,16 +61,6 @@ val of_tuples : Schema.t -> Tuple.t list -> t
 val of_counted : Schema.t -> (Tuple.t * int) list -> t
 val copy : t -> t
 
-(** Identity of the underlying tuple store: preserved by {!reschema},
-    fresh for {!copy} and {!create}.  Used to associate {!Index.t}es with
-    the store they mirror. *)
-val storage_id : t -> int
-
-(** [subscribe r observe] registers a callback invoked as [observe tuple
-    delta] after every counter change (including removals, where the new
-    counter is zero).  Used by incrementally-maintained indexes. *)
-val subscribe : t -> (Tuple.t -> int -> unit) -> unit
-
 (** [reschema r s] is [r] viewed under schema [s] (same arity, same value
     types positionally — checked on attribute types only when both schemas
     are non-empty).  O(1): storage is shared, so the result must be treated
@@ -94,8 +84,8 @@ val shard : n:int -> t -> t array
 val union_into : into:t -> t -> unit
 
 (** [assign ~into src] overwrites [into]'s contents with those of [src],
-    in place, expressed as counter updates so observers stay in sync and
-    aliases of [into]'s store remain valid.  Schemas must agree in
+    in place, expressed as counter updates so [into]'s indexes stay in
+    sync and aliases of [into]'s store remain valid.  Schemas must agree in
     arity.  Used by in-place view recompute/restore, where the
     materialization object is registered in a catalog and must not be
     replaced wholesale. *)
@@ -123,3 +113,36 @@ val pp : Format.formatter -> t -> unit
 (** Render as an ASCII table with a header row; counters are shown in a
     [#] column when some counter exceeds one or [counts] is [true]. *)
 val to_ascii : ?counts:bool -> t -> string
+
+(** {1 Secondary indexes}
+
+    A store can carry hash indexes, each keyed by the tuple columns at a
+    list of positions.  An index belongs to its store: {!update} (and so
+    every operation that writes through it) keeps it in step, the
+    {!reschema} aliases of the store find it, and it becomes garbage
+    with the store.  {!create}, {!copy} and {!shard} start without
+    indexes.  [Ops.hash_join] probes an index on a side's join columns
+    instead of hashing that side; that turns the repeated
+    delta-against-base joins of differential maintenance from full scans
+    of the base relation into per-delta-tuple probes (ablation E15). *)
+
+type index
+
+(** [index r ~positions] is [r]'s index on the columns at [positions]
+    (order-sensitive), built from [r]'s tuples if it has none yet.
+    @raise Invalid_argument if a position is outside the schema. *)
+val index : t -> positions:int array -> index
+
+(** [find_index r ~positions] is [r]'s index on [positions], if built. *)
+val find_index : t -> positions:int array -> index option
+
+(** [drop_index r ~positions] removes that index from the store (a no-op
+    without one); updates stop maintaining it. *)
+val drop_index : t -> positions:int array -> unit
+
+(** [iter_matches index key f] calls [f tuple count] for every stored
+    tuple whose key columns equal [key]. *)
+val iter_matches : index -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
+
+(** Number of distinct keys in the index. *)
+val key_count : index -> int

@@ -375,6 +375,34 @@ let full_stack_tests =
             Alcotest.(check bool) "consistent" true (View.consistent view db)
           end
         done);
+    quick "self-join view survives intra-view sharding (domains=2)"
+      (fun () ->
+        (* R.B joined with R'.A: both operands alias R's store under two
+           schemas, and with 3,000 tuples R is over the default shard
+           threshold, so each alias is sharded on the pool. *)
+        let db =
+          db_of
+            [
+              ( "R",
+                rel [ "A"; "B" ]
+                  (List.init 3_000 (fun i -> [ i; i mod 50 ])) );
+            ]
+        in
+        let mgr = Manager.create ~domains:2 db in
+        ignore
+          (Manager.define_view mgr ~name:"self"
+             Expr.(
+               select
+                 (v "B" =% v "C")
+                 (product (base "R")
+                    (rename [ ("A", "C"); ("B", "D") ] (base "R")))));
+        ignore
+          (Manager.commit mgr
+             [
+               Transaction.insert "R" (Tuple.of_ints [ 3_000; 7 ]);
+               Transaction.delete "R" (Tuple.of_ints [ 7; 7 ]);
+             ]);
+        Alcotest.(check bool) "consistent" true (Manager.all_consistent mgr));
     quick "churn on the same tuple across many transactions" (fun () ->
         let db =
           db_of

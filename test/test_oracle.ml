@@ -247,6 +247,21 @@ let corruption_tests =
              (Stream.size m))
           true
           (Stream.size m < Stream.size s));
+    quick "an end-of-stream divergence is returned, not raised" (fun () ->
+        (* At this fault rate v0 stays quarantined through every heal
+           round the ladder grants, which the end-of-stream check must
+           report as a divergence for the shrinker. *)
+        let s = Stream.generate ~domains:1 ~seed:7 ~transactions:12 () in
+        match
+          Harness.run ~fault_rate:0.95 ~policy:Resilience.Policy.Quarantine s
+        with
+        | None -> Alcotest.fail "v0 healed under saturated faults"
+        | Some d ->
+          Alcotest.(check string)
+            "kind" "health"
+            (Harness.kind_name d.Harness.kind);
+          Alcotest.(check string) "view" "v0" d.Harness.view;
+          Alcotest.(check int) "at end of stream" 11 d.Harness.transaction_index);
     quick "fuzz loop packages the counterexample" (fun () ->
         (* Fuzz.run generates fresh streams internally, so inject the bug
            via the harness directly and check the packaging layer through

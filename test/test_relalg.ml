@@ -707,30 +707,33 @@ let csv_tests =
 let index_tests =
   let matches index key =
     let out = ref [] in
-    Index.iter_matches index key (fun t c -> out := (Array.to_list t, c) :: !out);
+    Relation.iter_matches index key (fun t c ->
+        out := (Array.to_list t, c) :: !out);
     List.sort compare !out
   in
+  (* Relations of (A, B), indexed on B. *)
+  let on_b = [| 1 |] in
   [
     quick "build indexes existing tuples" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ]; [ 2; 10 ]; [ 3; 20 ] ] in
-        let index = Index.build r [ "B" ] in
-        Alcotest.(check int) "two keys" 2 (Index.key_count index);
+        let index = Relation.index r ~positions:on_b in
+        Alcotest.(check int) "two keys" 2 (Relation.key_count index);
         Alcotest.(check (list (pair (list value_testable) int)))
           "B=10"
           [ ([ Value.Int 1; Value.Int 10 ], 1); ([ Value.Int 2; Value.Int 10 ], 1) ]
           (matches index (Tuple.of_ints [ 10 ])));
     quick "index follows inserts and deletes" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        let index = Index.build r [ "B" ] in
+        let index = Relation.index r ~positions:on_b in
         Relation.add r (Tuple.of_ints [ 2; 10 ]);
         Relation.add r (Tuple.of_ints [ 3; 30 ]);
         Relation.remove r (Tuple.of_ints [ 1; 10 ]);
-        Alcotest.(check int) "keys" 2 (Index.key_count index);
+        Alcotest.(check int) "keys" 2 (Relation.key_count index);
         Alcotest.(check int) "B=10 matches" 1
           (List.length (matches index (Tuple.of_ints [ 10 ]))));
     quick "index follows counters" (fun () ->
         let r = Relation.create (int_schema [ "A"; "B" ]) in
-        let index = Index.build r [ "B" ] in
+        let index = Relation.index r ~positions:on_b in
         Relation.add ~count:3 r (Tuple.of_ints [ 1; 10 ]);
         Relation.update r (Tuple.of_ints [ 1; 10 ]) (-2);
         Alcotest.(check (list (pair (list value_testable) int)))
@@ -739,40 +742,70 @@ let index_tests =
           (matches index (Tuple.of_ints [ 10 ])));
     quick "empty key bucket disappears" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        let index = Index.build r [ "B" ] in
+        let index = Relation.index r ~positions:on_b in
         Relation.remove r (Tuple.of_ints [ 1; 10 ]);
-        Alcotest.(check int) "no keys" 0 (Index.key_count index));
+        Alcotest.(check int) "no keys" 0 (Relation.key_count index));
     quick "find by storage id survives reschema" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        ignore (Index.build r [ "B" ]);
+        ignore (Relation.index r ~positions:on_b);
         let view = Relation.reschema r (int_schema [ "r.A"; "r.B" ]) in
         Alcotest.(check bool) "found" true
-          (Index.find view ~positions:[| 1 |] <> None));
+          (Relation.find_index view ~positions:on_b <> None));
     quick "copy does not share the index" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        ignore (Index.build r [ "B" ]);
+        ignore (Relation.index r ~positions:on_b);
         Alcotest.(check bool) "copy unfound" true
-          (Index.find (Relation.copy r) ~positions:[| 1 |] = None));
+          (Relation.find_index (Relation.copy r) ~positions:on_b = None));
     quick "drop stops maintenance and lookup" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        ignore (Index.build r [ "B" ]);
-        Index.drop r [ "B" ];
+        ignore (Relation.index r ~positions:on_b);
+        Relation.drop_index r ~positions:on_b;
         Alcotest.(check bool) "gone" true
-          (Index.find r ~positions:[| 1 |] = None);
+          (Relation.find_index r ~positions:on_b = None);
         (* Updating after drop must not raise. *)
         Relation.add r (Tuple.of_ints [ 2; 20 ]));
     quick "build is idempotent" (fun () ->
         let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
-        let i1 = Index.build r [ "B" ] in
-        let i2 = Index.build r [ "B" ] in
+        let i1 = Relation.index r ~positions:on_b in
+        let i2 = Relation.index r ~positions:on_b in
         Alcotest.(check bool) "same index" true (i1 == i2));
+    quick "an index built through an alias serves the store" (fun () ->
+        let r = rel [ "A"; "B" ] [ [ 1; 10 ] ] in
+        let alias = Relation.reschema r (int_schema [ "r.A"; "r.B" ]) in
+        let index = Relation.index alias ~positions:on_b in
+        Relation.add r (Tuple.of_ints [ 2; 10 ]);
+        (match Relation.find_index r ~positions:on_b with
+        | Some found ->
+          Alcotest.(check bool) "the same index" true (found == index)
+        | None -> Alcotest.fail "not found on the store");
+        Alcotest.(check int) "follows the store's writes" 2
+          (List.length (matches index (Tuple.of_ints [ 10 ]))));
+    quick "an index dies with its relation" (fun () ->
+        (* 30 indexed 20k-tuple relations, built and let go: nothing may
+           keep their indexes alive. *)
+        let live () =
+          Gc.compact ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let before = live () in
+        for _ = 1 to 30 do
+          let r = Relation.create ~size_hint:20_000 (int_schema [ "A"; "B" ]) in
+          for a = 1 to 20_000 do
+            Relation.add r (Tuple.of_ints [ a; a mod 97 ])
+          done;
+          ignore (Relation.index r ~positions:on_b)
+        done;
+        let grown_mb = float_of_int ((live () - before) * 8) /. 1e6 in
+        Alcotest.(check bool)
+          (Printf.sprintf "live heap grew %.1f MB (< 4 MB)" grown_mb)
+          true (grown_mb < 4.0));
     quick "indexed planner joins agree with unindexed" (fun () ->
         let rng = Workload.Rng.make 61 in
         let scenario =
           Workload.Scenario.pair ~rng ~size_r:300 ~size_s:300 ~key_range:40
         in
         let db = scenario.Workload.Scenario.db in
-        ignore (Index.build (Database.find db "S") [ "B" ]);
+        ignore (Relation.index (Database.find db "S") ~positions:[| 0 |]);
         let view =
           Ivm.View.define ~name:"ix" ~db
             Query.Expr.(join (base "R") (base "S"))

@@ -555,6 +555,47 @@ let refresh_survives_mid_drain_failure () =
     (View.contents dv);
   Alcotest.(check bool) "consistent" true (Manager.consistent mgr "dv")
 
+(* An invalid transaction must raise before anything moves.  Commit 1
+   quarantines [v] through an injected task fault; commit 2 inserts a
+   tuple already in R.  Had the commit healed [v] and spent a sequence
+   number before netting, the live manager would be ahead of its log. *)
+let invalid_after_quarantine ?durability () =
+  let db = example_db () in
+  let mgr =
+    Manager.create ~domains:1 ~policy:Policy.Quarantine ?durability db
+  in
+  ignore (Manager.define_view mgr ~name:"v" Query.Expr.(base "R"));
+  with_faults ~only:[ "task" ] ~rate:1.0 (fun () ->
+      ignore
+        (Manager.commit mgr [ Transaction.insert "R" (Tuple.of_ints [ 3; 4 ]) ]));
+  let health = Manager.view_health mgr "v" in
+  Alcotest.(check bool) "quarantined by the injected fault" true
+    (match health with Manager.Quarantined _ -> true | _ -> false);
+  (match
+     Manager.commit mgr [ Transaction.insert "R" (Tuple.of_ints [ 1; 2 ]) ]
+   with
+  | _ -> Alcotest.fail "a duplicate insert must be refused"
+  | exception Transaction.Invalid _ -> ());
+  Alcotest.(check int) "no sequence number spent" 1 (Manager.commit_seq mgr);
+  Alcotest.(check bool) "no heal ran" true (Manager.view_health mgr "v" = health);
+  mgr
+
+let invalid_txn_changes_nothing () = ignore (invalid_after_quarantine ())
+
+let invalid_txn_recovers_to_live_state () =
+  with_wal "invalid-txn" (fun config ->
+      let live = invalid_after_quarantine ~durability:config () in
+      let expected = Manager.capture_state live in
+      let mgr =
+        Manager.create ~domains:1 ~policy:Policy.Quarantine ~durability:config
+          (example_db ())
+      in
+      ignore (Manager.define_view mgr ~name:"v" Query.Expr.(base "R"));
+      ignore (Manager.recover mgr);
+      match Durability.State.diff expected (Manager.capture_state mgr) with
+      | None -> ()
+      | Some d -> Alcotest.fail ("recovered state differs: " ^ d))
+
 (* ------------------------------------------------------------------ *)
 (* Commit fast path                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -616,6 +657,10 @@ let () =
           quick "abort restores the exact pre-commit state" torn_commit;
           quick "unprotected policy keeps the legacy torn behaviour"
             unprotected_commit_tears;
+          quick "an invalid transaction heals nothing and spends no seq"
+            invalid_txn_changes_nothing;
+          quick "an invalid transaction leaves recovery equal to live"
+            invalid_txn_recovers_to_live_state;
         ] );
       ( "quarantine",
         [

@@ -151,6 +151,44 @@ let delta_tests =
           (ints_contents delta.Ivm.Delta.deletes);
         Alcotest.(check int) "no inserts" 0
           (Relation.cardinal delta.Ivm.Delta.inserts));
+    quick "keyed drain index follows recompute and rollback" (fun () ->
+        (* The drain probes an index on the view's contents; recompute
+           and journal rollback rewrite those contents in place, and the
+           index must follow both. *)
+        let db =
+          db_of
+            [
+              ("R", rel [ "A"; "B" ] [ [ 1; 2 ]; [ 9; 7 ] ]);
+              ("S", rel [ "B"; "C" ] [ [ 2; 5 ]; [ 2; 6 ]; [ 7; 8 ] ]);
+            ]
+        in
+        let expr =
+          Query.Expr.(project [ "A"; "B" ] (join (base "R") (base "S")))
+        in
+        let view = View.define ~name:"v" ~db ~keys:[ ("R", [ "A"; "B" ]) ] expr in
+        let cert = Option.get (View.self_maintain view) in
+        let contents = View.contents view in
+        let drains msg victim expected =
+          let net : Transaction.net = [ ("R", ([], [ Tuple.of_ints victim ])) ] in
+          Alcotest.(check (list (pair (list int) int)))
+            msg expected
+            (ints_contents (SM.delta cert ~contents ~net).Ivm.Delta.deletes)
+        in
+        drains "first drain builds the index" [ 1; 2 ] [ ([ 1; 2 ], 2) ];
+        Relation.add (Database.find db "R") (Tuple.of_ints [ 4; 7 ]);
+        View.recompute view db;
+        drains "recomputed tuple found" [ 4; 7 ] [ ([ 4; 7 ], 1) ];
+        let journal = Resilience.Journal.create () in
+        Resilience.Journal.record_restore_fn journal (View.checkpoint view);
+        Relation.remove (Database.find db "R") (Tuple.of_ints [ 1; 2 ]);
+        View.recompute view db;
+        Resilience.Journal.update journal contents (Tuple.of_ints [ 4; 7 ]) (-1);
+        drains "recomputed-away tuple gone" [ 1; 2 ] [];
+        drains "journaled delete gone" [ 4; 7 ] [];
+        Resilience.Journal.rollback journal;
+        drains "rollback restores the recomputed-away tuple" [ 1; 2 ]
+          [ ([ 1; 2 ], 2) ];
+        drains "rollback restores the deleted tuple" [ 4; 7 ] [ ([ 4; 7 ], 1) ]);
   ]
 
 (* ------------------------------------------------------------------ *)
