@@ -493,79 +493,3 @@ let maintain_recompute ?journal ?(want_delta = false) ~decision view ~db =
       ~actual_ns:total_ns d
   | None -> ());
   report
-
-let process ?(options = default_options) ?(options_for = fun _ -> None) ?pool
-    ~views ~db txn =
-  (* With a pool, independent views are maintained in parallel: each task
-     reads the shared base relations (frozen between the two apply
-     phases) and writes only its own view's materialization. *)
-  let pmap f xs =
-    match pool with
-    | Some pool -> Exec.Pool.map_list pool f xs
-    | None -> List.map f xs
-  in
-  Obs.Span.with_span "commit"
-    ~args:(fun () -> [ ("views", Obs.Json.Int (List.length views)) ])
-    (fun () ->
-      let net =
-        Obs.Span.with_span "net"
-          ~args:(fun () -> [ ("ops", Obs.Json.Int (List.length txn)) ])
-          (fun () -> Transaction.net_effect db txn)
-      in
-      Log.info (fun m ->
-          m "commit: %d ops, %d relations touched, %d views" (List.length txn)
-            (List.length net) (List.length views));
-      let options_of view =
-        Option.value ~default:options (options_for (View.name view))
-      in
-      (* Resolve strategies against the pre-state; the decision is kept
-         only when the advisor actually ran (Adaptive), the low-level API
-         leaves always-on calibration to Manager. *)
-      let resolved =
-        List.map
-          (fun view ->
-            let view_options = options_of view in
-            match view_options.strategy with
-            | Differential -> (view, view_options, Differential, None, None)
-            | Recompute -> (view, view_options, Recompute, None, None)
-            | Self_maintain -> (
-              match self_maintain_fallback view ~net with
-              | None -> (view, view_options, Self_maintain, None, None)
-              | Some why -> (view, view_options, Differential, None, Some why))
-            | Adaptive ->
-              let strategy, decision =
-                resolve_with_decision view_options view ~db ~net
-              in
-              (view, view_options, strategy, Some decision, None))
-          views
-      in
-      apply_deletes db net;
-      (* Self-maintained views run in the differential phase: both need
-         the deletions-applied, insertions-pending base state (the former
-         only to leave it untouched). *)
-      let differential, recomputed =
-        List.partition
-          (fun (_, _, strategy, _, _) ->
-            match strategy with
-            | Recompute -> false
-            | Differential | Adaptive | Self_maintain -> true)
-          resolved
-      in
-      let reports =
-        pmap
-          (fun (view, view_options, strategy, decision, fallback) ->
-            match strategy with
-            | Self_maintain -> maintain_self_maintain ~decision view ~net
-            | _ ->
-              maintain_differential ~options:view_options ?pool ?fallback
-                ~decision view ~db ~net)
-          differential
-      in
-      apply_inserts db net;
-      let recompute_reports =
-        pmap
-          (fun (view, _, _, decision, _) ->
-            maintain_recompute ~decision view ~db)
-          recomputed
-      in
-      reports @ recompute_reports)

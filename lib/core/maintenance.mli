@@ -1,20 +1,9 @@
-(** Per-transaction view maintenance (Algorithm 5.1 end to end).
-
-    The protocol mirrors the paper's assumptions (Section 5): maintenance
-    runs as the final step of a committing transaction, with the
-    pre-transaction base relations, the net update sets, the view
-    definition and the current view contents available.
-
-    Phases of {!process}:
-    + compute the transaction's net effect;
-    + install the deletions into the base relations — they are then in the
-      r° = r - d_r state every truth-table row expects;
-    + for every differential view: screen the update sets against
-      Theorem 4.1, evaluate the surviving truth-table rows, apply the view
-      delta;
-    + install the insertions;
-    + recompute any view maintained by the complete re-evaluation
-      baseline. *)
+(** Maintenance of one view, Algorithm 5.1's per-view step: screen and
+    evaluate ({!view_delta}), bring the view up to date under one
+    strategy ([maintain_*]), and install either half of a net effect in
+    the base relations ({!apply_deletes}, {!apply_inserts}).  The commit
+    order (net effect, base deletions, per-view steps, base insertions,
+    recomputes) lives in [Manager.commit]. *)
 
 open Relalg
 
@@ -171,27 +160,9 @@ val view_delta :
   net:Transaction.net ->
   Delta.t * report
 
-(** [process ?options ?pool ~views ~db txn] runs the whole commit: nets the
-    transaction, updates the base relations, and maintains every view.
-    Per-view options override the common ones.  With a [pool] of size > 1,
-    views are maintained in parallel (they are data-independent once the
-    net effect is computed: each task only reads base relations and writes
-    its own materialization); results are identical to the sequential
-    order.
-    @raise Transaction.Invalid on invalid transactions (nothing is
-    modified in that case). *)
-val process :
-  ?options:options ->
-  ?options_for:(string -> options option) ->
-  ?pool:Exec.Pool.t ->
-  views:View.t list ->
-  db:Database.t ->
-  Transaction.t ->
-  report list
-
 (** [apply_deletes db net] / [apply_inserts db net] install one half of the
-    net effect (exposed for the snapshot-refresh path).  With [journal],
-    every counter update is recorded for rollback. *)
+    net effect.  With [journal], every counter update is recorded for
+    rollback. *)
 val apply_deletes :
   ?journal:Resilience.Journal.t -> Database.t -> Transaction.net -> unit
 

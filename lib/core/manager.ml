@@ -149,7 +149,6 @@ type t = {
   domains : int;
   pool : Exec.Pool.t;
   policy : Resilience.Policy.t;
-  retry : Resilience.Retry.policy;
   mutable commit_seq : int;
   mutable entries : entry list; (* in definition order *)
   mutable durable : durable option;
@@ -173,8 +172,7 @@ let sync_catalog mgr =
         Database.register mgr.catalog name (Database.find mgr.db name))
     (Database.names mgr.db)
 
-let create ?domains ?(policy = Resilience.Policy.Abort)
-    ?(retry = Resilience.Retry.default) ?durability db =
+let create ?domains ?(policy = Resilience.Policy.Abort) ?durability db =
   (* Explicit argument beats the IVM_DOMAINS environment override beats
      the sequential default.  Pools come from the process-wide shared
      registry: managers are cheap and numerous (tests create hundreds),
@@ -215,7 +213,6 @@ let create ?domains ?(policy = Resilience.Policy.Abort)
       domains;
       pool = Exec.Pool.shared ~domains;
       policy;
-      retry;
       commit_seq = 0;
       entries = [];
       durable;
@@ -225,11 +222,8 @@ let create ?domains ?(policy = Resilience.Policy.Abort)
   sync_catalog mgr;
   mgr
 
-let policy mgr = mgr.policy
 let commit_seq mgr = mgr.commit_seq
-
 let database mgr = mgr.db
-let domains mgr = mgr.domains
 
 let entry_opt mgr name =
   List.find_opt (fun e -> String.equal (View.name e.view) name) mgr.entries
@@ -737,14 +731,14 @@ let refresh_dependents mgr name =
       end)
     mgr.entries
 
-(* One self-heal round for a quarantined view: a retry budget of
-   differential drains of the pending deltas (transient faults clear on
-   retry), then a retry budget of full recomputes — the paper's
-   always-correct fallback, which also absorbs corruption the
-   differential path cannot explain.  A round that exhausts both
-   budgets counts one heal failure and pushes the next automatic
-   attempt [Retry.heal_delay] commits out (the backoff ladder of
-   [Retry.default_schedule]); its [rounds] failures disable the view
+(* One self-heal round for a quarantined view: a retry budget
+   ([Retry.default]) of differential drains of the pending deltas
+   (transient faults clear on retry), then a retry budget of full
+   recomputes — the paper's always-correct fallback, which also absorbs
+   corruption the differential path cannot explain.  A round that
+   exhausts both budgets counts one heal failure and pushes the next
+   automatic attempt [Retry.heal_delay] commits out (the backoff ladder
+   of [Retry.default_schedule]); its [rounds] failures disable the view
    until an explicit [repair].  Explicit [heal]/[consistent] calls
    bypass the backoff gate — only the commit-start auto-heal honours
    it. *)
@@ -781,14 +775,15 @@ let heal_entry mgr e =
                recompute can help. *)
             Error (Not_found, Printexc.get_callstack 0)
           else
-            Resilience.Retry.run ~label:"heal-differential" mgr.retry (fun () ->
-                drain_pending mgr e)
+            Resilience.Retry.run ~label:"heal-differential"
+              Resilience.Retry.default (fun () -> drain_pending mgr e)
         in
         match differential with
         | Ok report -> finish report
         | Error _ -> (
           match
-            Resilience.Retry.run ~label:"heal-recompute" mgr.retry (fun () ->
+            Resilience.Retry.run ~label:"heal-recompute"
+              Resilience.Retry.default (fun () ->
                 Maintenance.maintain_recompute ~decision:None e.view
                   ~db:mgr.catalog)
           with

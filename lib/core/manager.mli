@@ -16,7 +16,7 @@ type mode =
 
 type t
 
-(** [create ?domains ?policy ?retry ?durability db] makes a manager
+(** [create ?domains ?policy ?durability db] makes a manager
     whose commits run view maintenance on a domain pool of the given
     size (clamped to ≥ 1).  Resolution order: explicit [domains], then
     the [IVM_DOMAINS] environment variable, then 1 (fully sequential).
@@ -26,9 +26,9 @@ type t
     and counters are identical to the same commit at [domains = 1].
 
     [policy] (default {!Resilience.Policy.Abort}) selects the failure
-    semantics of {!commit}; [retry] bounds each rung of the quarantine
-    self-heal (see {!heal}).  The self-heal backoff ladder is
-    {!Resilience.Retry.default_schedule}.  The flight recorder's
+    semantics of {!commit}.  {!Resilience.Retry.default} bounds each
+    rung of the quarantine self-heal (see {!heal}), and its backoff
+    ladder is {!Resilience.Retry.default_schedule}.  The flight recorder's
     directory is process-wide: see {!Resilience.Flight.set_dir} and the
     [IVM_FLIGHT_DIR] environment variable.
 
@@ -41,21 +41,15 @@ type t
 val create :
   ?domains:int ->
   ?policy:Resilience.Policy.t ->
-  ?retry:Resilience.Retry.policy ->
   ?durability:Durability.Config.t ->
   Database.t ->
   t
-
-val policy : t -> Resilience.Policy.t
 
 (** Sequence number of the last commit attempt (aborted ones included);
     0 before the first. *)
 val commit_seq : t -> int
 
 val database : t -> Database.t
-
-(** Configured maintenance parallelism (1 = sequential). *)
-val domains : t -> int
 
 (** Registration was refused by the static analyzer: the definition
     carries [Error]-level diagnostics (see {!Analysis.Analyzer}). *)
@@ -150,8 +144,8 @@ val health : t -> (string * view_health) list
 val view_health : t -> string -> view_health
 
 (** [heal mgr name] runs one self-heal round on a quarantined view: a
-    retry budget ({!create}'s [retry]) of differential drains of its
-    banked deltas, then a retry budget of full recomputes — the paper's
+    retry budget ({!Resilience.Retry.default}) of differential drains of
+    its banked deltas, then a retry budget of full recomputes — the paper's
     always-correct fallback.  Returns [true] when the view is healthy
     afterwards.  Healthy views return [true] immediately; disabled
     views return [false] without work.  Runs implicitly at the start of

@@ -91,10 +91,11 @@ let lint ?keys v =
 
 let apply_delta v delta = Delta.apply delta v.state
 
-(* Recompute and restore mutate the materialization in place (and, for
-   aggregate views, the inner materialization too): the contents object
-   may be registered in a manager catalog as the input of dependent
-   views, so replacing it wholesale would orphan those registrations. *)
+(* Recompute and the checkpoint's restore mutate the materialization in
+   place (and, for aggregate views, the inner materialization too): the
+   contents object may be registered in a manager catalog as the input
+   of dependent views, so replacing it wholesale would orphan those
+   registrations. *)
 let recompute v db =
   let fresh = Query.Spj.eval v.lookup db v.spj in
   match v.grouped with
@@ -114,16 +115,6 @@ let checkpoint v =
       Relation.assign ~into:(Grouped.inner g) ~src:saved_inner;
       Grouped.rebuild g;
       Relation.assign ~into:v.state ~src:saved_state
-
-let restore v saved =
-  Relation.assign ~into:v.state ~src:saved;
-  match v.grouped with
-  | None -> ()
-  | Some g ->
-    (* Outer-only restores are not enough for aggregate views; callers
-       there use {!checkpoint}.  Rebuilding from the (unchanged) inner
-       keeps the group accumulators honest either way. *)
-    Grouped.rebuild g
 
 let consistent v db =
   let inner_now = Query.Spj.eval v.lookup db v.spj in

@@ -84,13 +84,6 @@ val recompute : t -> Database.t -> unit
     destructive operation such as {!recompute}. *)
 val checkpoint : t -> unit -> unit
 
-(** [restore v saved] installs a previously captured materialization
-    (a {!contents} value taken before a mutation), in place.  For
-    aggregate views this rebuilds group state from the current inner
-    materialization — use {!checkpoint} when the inner state moved
-    too. *)
-val restore : t -> Relation.t -> unit
-
 (** [consistent v db] re-evaluates from scratch and compares with the
     maintained contents, counters included. *)
 val consistent : t -> Database.t -> bool

@@ -206,7 +206,7 @@ let eval lookup db spj =
     ~projection:spj.projection ()
 
 let pp ppf spj =
-  Format.fprintf ppf "@[<v>pi[%a]@,sigma[%a]@,(%a)@]"
+  Format.fprintf ppf "@[<v>pi[%a]@,sigma[@[<hov 2>%a@]]@,(%a)@]"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        (fun ppf (out, q) ->

@@ -56,4 +56,11 @@ let example_4_1_expr () =
   let cond = (v "A" <% i 10) &&% (v "C" >% i 5) &&% (v "B" =% v "C") in
   Query.Expr.(project [ "A"; "D" ] (select cond (product (base "R") (base "S"))))
 
+(* A manager over [db] with the one view [expr] registered as [name];
+   the suites commit through [Manager.commit].  [force] keeps a
+   definition the analyzer would reject, as [View.define] does. *)
+let managed ?options ?keys ~name db expr =
+  let mgr = Ivm.Manager.create db in
+  (mgr, Ivm.Manager.define_view mgr ~name ?options ?keys ~force:true expr)
+
 let quick name f = Alcotest.test_case name `Quick f

@@ -94,9 +94,8 @@ let chain_tests =
         let rng = Rng.make 11 in
         let scenario, names = Scenario.chain ~rng ~p:3 ~size:40 ~key_range:6 in
         let db = scenario.Scenario.db in
-        let view =
-          View.define ~name:"chain" ~db
-            Expr.(join_all (List.map base names))
+        let mgr, view =
+          managed ~name:"chain" db Expr.(join_all (List.map base names))
         in
         for _ = 1 to 25 do
           let specs =
@@ -109,20 +108,20 @@ let chain_tests =
               names
           in
           let txn = Generate.mixed_transaction rng db specs in
-          ignore (Maintenance.process ~views:[ view ] ~db txn);
+          ignore (Manager.commit mgr txn);
           Alcotest.(check bool) "consistent" true (View.consistent view db)
         done);
     quick "4-way chain with selective condition and row reuse" (fun () ->
         let rng = Rng.make 23 in
         let scenario, names = Scenario.chain ~rng ~p:4 ~size:25 ~key_range:5 in
         let db = scenario.Scenario.db in
-        let view =
-          View.define ~name:"chain4" ~db
+        let options = { Maintenance.default_options with reuse = true } in
+        let mgr, view =
+          managed ~name:"chain4" ~options db
             Expr.(
               project [ "K0"; "K4" ]
                 (select (v "K0" <% v "K4" +% 3) (join_all (List.map base names))))
         in
-        let options = { Maintenance.default_options with reuse = true } in
         for _ = 1 to 15 do
           let specs =
             List.map
@@ -134,7 +133,7 @@ let chain_tests =
               names
           in
           let txn = Generate.mixed_transaction rng db specs in
-          ignore (Maintenance.process ~options ~views:[ view ] ~db txn);
+          ignore (Manager.commit mgr txn);
           Alcotest.(check bool) "consistent" true (View.consistent view db)
         done);
   ]
@@ -220,14 +219,14 @@ let soak_tests =
               Scenario.pair ~rng ~size_r:40 ~size_s:40 ~key_range:8
             in
             let db = scenario.Scenario.db in
-            let view =
-              View.define ~name:"v" ~db
+            let options =
+              { Maintenance.default_options with screen; reuse; order }
+            in
+            let mgr, view =
+              managed ~name:"v" ~options db
                 Expr.(
                   project [ "A"; "C" ]
                     (select (v "C" <% i 300) (join (base "R") (base "S"))))
-            in
-            let options =
-              { Maintenance.default_options with screen; reuse; order }
             in
             for _ = 1 to 10 do
               let txn =
@@ -237,7 +236,7 @@ let soak_tests =
                     ("S", Scenario.columns_of scenario "S", Rng.int rng 3, Rng.int rng 3);
                   ]
               in
-              ignore (Maintenance.process ~options ~views:[ view ] ~db txn)
+              ignore (Manager.commit mgr txn)
             done;
             Alcotest.(check bool)
               (Printf.sprintf "combo %d consistent" idx)
@@ -249,8 +248,8 @@ let soak_tests =
         let db = scenario.Scenario.db in
         (* S |x| S folds to S; maintenance then runs on the minimized
            definition. *)
-        let view =
-          View.define ~name:"dup" ~db Expr.(join (base "S") (base "S"))
+        let mgr, view =
+          managed ~name:"dup" db Expr.(join (base "S") (base "S"))
         in
         Alcotest.(check int) "folded" 1
           (List.length (View.spj view).Query.Spj.sources);
@@ -259,24 +258,26 @@ let soak_tests =
             Generate.transaction rng db "S"
               ~columns:(Scenario.columns_of scenario "S") ~inserts:2 ~deletes:2
           in
-          ignore (Maintenance.process ~views:[ view ] ~db txn)
+          ignore (Manager.commit mgr txn)
         done;
         Alcotest.(check bool) "consistent" true (View.consistent view db));
     quick "empty view start grows and shrinks correctly" (fun () ->
         let db =
           db_of [ ("R", rel [ "A"; "B" ] []); ("S", rel [ "B"; "C" ] []) ]
         in
-        let view = View.define ~name:"v" ~db Expr.(join (base "R") (base "S")) in
+        let mgr, view =
+          managed ~name:"v" db Expr.(join (base "R") (base "S"))
+        in
         Alcotest.(check int) "empty" 0 (Relation.cardinal (View.contents view));
         ignore
-          (Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [
                Transaction.insert "R" (Tuple.of_ints [ 1; 10 ]);
                Transaction.insert "S" (Tuple.of_ints [ 10; 5 ]);
              ]);
         Alcotest.(check int) "one row" 1 (Relation.cardinal (View.contents view));
         ignore
-          (Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [
                Transaction.delete "R" (Tuple.of_ints [ 1; 10 ]);
                Transaction.delete "S" (Tuple.of_ints [ 10; 5 ]);
@@ -300,15 +301,15 @@ let full_stack_tests =
         Database.register db "R" (Csv.of_string text_r);
         Database.register db "S" (Csv.of_string text_s);
         let lookup name = Relation.schema (Database.find db name) in
-        let view =
-          View.define ~name:"q" ~db
+        let mgr, view =
+          managed ~name:"q" db
             (Query.Parser.view ~lookup
                "SELECT A, C FROM R, S WHERE C <= 200 AND A > 1")
         in
         Alcotest.(check int) "initial rows" 2
           (Relation.cardinal (View.contents view));
         ignore
-          (Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [
                Transaction.insert "R" (Tuple.of_ints [ 9; 20 ]);
                Transaction.delete "S" (Tuple.of_ints [ 10; 100 ]);
@@ -411,13 +412,13 @@ let full_stack_tests =
               ("S", rel [ "B"; "C" ] [ [ 10; 5 ] ]);
             ]
         in
-        let view = View.define ~name:"v" ~db Expr.(join (base "R") (base "S")) in
+        let mgr, view =
+          managed ~name:"v" db Expr.(join (base "R") (base "S"))
+        in
         let t = Tuple.of_ints [ 2; 10 ] in
         for _ = 1 to 10 do
-          ignore
-            (Maintenance.process ~views:[ view ] ~db [ Transaction.insert "R" t ]);
-          ignore
-            (Maintenance.process ~views:[ view ] ~db [ Transaction.delete "R" t ])
+          ignore (Manager.commit mgr [ Transaction.insert "R" t ]);
+          ignore (Manager.commit mgr [ Transaction.delete "R" t ])
         done;
         Alcotest.(check int) "one row" 1 (Relation.cardinal (View.contents view));
         Alcotest.(check bool) "consistent" true (View.consistent view db));
@@ -433,8 +434,8 @@ let full_stack_tests =
             reuse = true;
           }
         in
-        let view =
-          View.define ~name:"v" ~db
+        let mgr, view =
+          managed ~name:"v" ~options db
             Expr.(
               project [ "A"; "C" ]
                 (select (v "C" <% i 2500) (join (base "R") (base "S"))))
@@ -447,7 +448,7 @@ let full_stack_tests =
                 ("S", Scenario.columns_of scenario "S", Rng.int rng 6, Rng.int rng 6);
               ]
           in
-          ignore (Maintenance.process ~options ~views:[ view ] ~db txn)
+          ignore (Manager.commit mgr txn)
         done;
         Alcotest.(check bool) "consistent" true (View.consistent view db));
   ]

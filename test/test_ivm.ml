@@ -506,7 +506,7 @@ let view_tests =
 let maintenance_tests =
   [
     quick "differential equals recompute strategy" (fun () ->
-        let mk () =
+        let mk ?options () =
           let db =
             db_of
               [
@@ -514,7 +514,7 @@ let maintenance_tests =
                 ("S", rel [ "B"; "C" ] [ [ 10; 5 ]; [ 20; 6 ] ]);
               ]
           in
-          (db, View.define ~name:"v" ~db Expr.(join (base "R") (base "S")))
+          managed ~name:"v" ?options db Expr.(join (base "R") (base "S"))
         in
         let txn =
           [
@@ -522,20 +522,24 @@ let maintenance_tests =
             Transaction.delete "S" (Tuple.of_ints [ 10; 5 ]);
           ]
         in
-        let db1, v1 = mk () in
-        ignore (Maintenance.process ~views:[ v1 ] ~db:db1 txn);
-        let db2, v2 = mk () in
-        ignore
-          (Maintenance.process
-             ~options:
-               { Maintenance.default_options with strategy = Maintenance.Recompute }
-             ~views:[ v2 ] ~db:db2 txn);
+        let mgr1, v1 = mk () in
+        ignore (Manager.commit mgr1 txn);
+        let mgr2, v2 =
+          mk
+            ~options:
+              {
+                Maintenance.default_options with
+                strategy = Maintenance.Recompute;
+              }
+            ()
+        in
+        ignore (Manager.commit mgr2 txn);
         check_rel "same contents" (View.contents v2) (View.contents v1));
     quick "reports count screened updates" (fun () ->
         let db = example_4_1_db () in
-        let view = View.define ~name:"u" ~db (example_4_1_expr ()) in
+        let mgr, _ = managed ~name:"u" db (example_4_1_expr ()) in
         let reports =
-          Maintenance.process ~views:[ view ] ~db
+          Manager.commit mgr
             [
               Transaction.insert "R" (Tuple.of_ints [ 9; 10 ]);
               Transaction.insert "R" (Tuple.of_ints [ 11; 10 ]);
@@ -548,20 +552,22 @@ let maintenance_tests =
         | _ -> Alcotest.fail "expected one report");
     quick "screening disabled still correct" (fun () ->
         let db = example_4_1_db () in
-        let view = View.define ~name:"u" ~db (example_4_1_expr ()) in
+        let mgr, view =
+          managed ~name:"u"
+            ~options:{ Maintenance.default_options with screen = false }
+            db (example_4_1_expr ())
+        in
         ignore
-          (Maintenance.process
-             ~options:{ Maintenance.default_options with screen = false }
-             ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 11; 10 ]) ]);
         Alcotest.(check bool) "consistent" true (View.consistent view db));
     quick "invalid transaction leaves everything untouched" (fun () ->
         let db = db_of [ ("R", rel [ "A" ] [ [ 1 ] ]) ] in
-        let view = View.define ~name:"v" ~db (Expr.base "R") in
+        let mgr, view = managed ~name:"v" db (Expr.base "R") in
         Alcotest.(check bool) "raises" true
           (try
              ignore
-               (Maintenance.process ~views:[ view ] ~db
+               (Manager.commit mgr
                   [
                     Transaction.insert "R" (Tuple.of_ints [ 2 ]);
                     Transaction.insert "R" (Tuple.of_ints [ 1 ]);
@@ -579,13 +585,13 @@ let maintenance_tests =
               ("S", rel [ "B"; "C" ] [ [ 10; 5 ] ]);
             ]
         in
-        let v1 = View.define ~name:"v1" ~db Expr.(join (base "R") (base "S")) in
-        let v2 = View.define ~name:"v2" ~db Expr.(project [ "B" ] (base "R")) in
-        let v3 =
-          View.define ~name:"v3" ~db Expr.(select (v "C" >% i 4) (base "S"))
-        in
+        let mgr = Manager.create db in
+        let define name expr = Manager.define_view mgr ~name ~force:true expr in
+        let v1 = define "v1" Expr.(join (base "R") (base "S")) in
+        let v2 = define "v2" Expr.(project [ "B" ] (base "R")) in
+        let v3 = define "v3" Expr.(select (v "C" >% i 4) (base "S")) in
         ignore
-          (Maintenance.process ~views:[ v1; v2; v3 ] ~db
+          (Manager.commit mgr
              [
                Transaction.insert "R" (Tuple.of_ints [ 2; 10 ]);
                Transaction.insert "S" (Tuple.of_ints [ 20; 9 ]);
@@ -598,20 +604,21 @@ let maintenance_tests =
           [ v1; v2; v3 ]);
     quick "per-view option override" (fun () ->
         let db = db_of [ ("R", rel [ "A" ] [ [ 1 ] ]) ] in
-        let v1 = View.define ~name:"v1" ~db (Expr.base "R") in
-        let v2 = View.define ~name:"v2" ~db (Expr.base "R") in
+        let mgr = Manager.create db in
+        let v1 =
+          Manager.define_view mgr ~name:"v1" ~force:true (Expr.base "R")
+        in
+        let v2 =
+          Manager.define_view mgr ~name:"v2" ~force:true
+            ~options:
+              {
+                Maintenance.default_options with
+                strategy = Maintenance.Recompute;
+              }
+            (Expr.base "R")
+        in
         let reports =
-          Maintenance.process
-            ~options_for:(fun name ->
-              if String.equal name "v2" then
-                Some
-                  {
-                    Maintenance.default_options with
-                    strategy = Maintenance.Recompute;
-                  }
-              else None)
-            ~views:[ v1; v2 ] ~db
-            [ Transaction.insert "R" (Tuple.of_ints [ 2 ]) ]
+          Manager.commit mgr [ Transaction.insert "R" (Tuple.of_ints [ 2 ]) ]
         in
         let strategy_of name =
           (List.find (fun r -> r.Maintenance.view_name = name) reports)
@@ -670,9 +677,12 @@ let advisor_tests =
           && decision.Ivm.Advisor.differential_cost = 0.0));
     quick "adaptive maintenance stays consistent across the spectrum"
       (fun () ->
-        let rng, scenario, db, view = setup () in
+        let rng, scenario, db, _ = setup () in
         let options =
           { Maintenance.default_options with strategy = Maintenance.Adaptive }
+        in
+        let mgr, view =
+          managed ~name:"v" ~options db Expr.(join (base "R") (base "S"))
         in
         List.iter
           (fun batch ->
@@ -681,7 +691,7 @@ let advisor_tests =
                 ~columns:(Workload.Scenario.columns_of scenario "R")
                 ~inserts:batch ~deletes:batch
             in
-            ignore (Maintenance.process ~options ~views:[ view ] ~db txn);
+            ignore (Manager.commit mgr txn);
             Alcotest.(check bool)
               (Printf.sprintf "consistent at batch %d" batch)
               true (View.consistent view db))

@@ -11,6 +11,7 @@ module Delta = Ivm.Delta
 module Delta_eval = Ivm.Delta_eval
 module Irrelevance = Ivm.Irrelevance
 module View = Ivm.View
+module Manager = Ivm.Manager
 open F.Dsl
 
 (* ------------------------------------------------------------------ *)
@@ -78,9 +79,9 @@ let example_4_1_tests =
           [ [ 9; 10 ]; [ 11; 10 ]; [ 0; 0 ]; [ 9; 5 ]; [ 9; 6 ]; [ 10; 6 ] ]);
     quick "inserting (9,10) updates the view with (9,20)" (fun () ->
         let db = example_4_1_db () in
-        let view = View.define ~name:"u" ~db (example_4_1_expr ()) in
+        let mgr, view = managed ~name:"u" db (example_4_1_expr ()) in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 9; 10 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "contents"
@@ -230,11 +231,11 @@ let example_5_1_tests =
           (ints_contents (View.contents view)));
     quick "deleting (3,20) removes 20 from the view" (fun () ->
         let db = example_5_1_db () in
-        let view =
-          View.define ~name:"v" ~db Expr.(project [ "B" ] (base "R"))
+        let mgr, view =
+          managed ~name:"v" db Expr.(project [ "B" ] (base "R"))
         in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.delete "R" (Tuple.of_ints [ 3; 20 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "view" [ ([ 10 ], 2) ]
@@ -243,11 +244,11 @@ let example_5_1_tests =
         (* This is the case the counter exists for: without it the view
            would wrongly lose B = 10. *)
         let db = example_5_1_db () in
-        let view =
-          View.define ~name:"v" ~db Expr.(project [ "B" ] (base "R"))
+        let mgr, view =
+          managed ~name:"v" db Expr.(project [ "B" ] (base "R"))
         in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.delete "R" (Tuple.of_ints [ 1; 10 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "view"
@@ -255,14 +256,14 @@ let example_5_1_tests =
           (ints_contents (View.contents view)));
     quick "re-inserting restores the counter" (fun () ->
         let db = example_5_1_db () in
-        let view =
-          View.define ~name:"v" ~db Expr.(project [ "B" ] (base "R"))
+        let mgr, view =
+          managed ~name:"v" db Expr.(project [ "B" ] (base "R"))
         in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.delete "R" (Tuple.of_ints [ 1; 10 ]) ]);
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 1; 10 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "view"
@@ -278,15 +279,15 @@ let join_db () =
       ("S", rel [ "B"; "C" ] [ [ 10; 5 ]; [ 20; 6 ]; [ 30; 7 ] ]);
     ]
 
-let join_view db = View.define ~name:"v" ~db Expr.(join (base "R") (base "S"))
+let join_expr = Expr.(join (base "R") (base "S"))
 
 let example_5_2_to_5_4_tests =
   [
     quick "example 5.2: insertions contribute i_r |x| s" (fun () ->
         let db = join_db () in
-        let view = join_view db in
+        let mgr, view = managed ~name:"v" db join_expr in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 3; 10 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "view"
@@ -295,9 +296,9 @@ let example_5_2_to_5_4_tests =
         Alcotest.(check bool) "consistent" true (View.consistent view db));
     quick "example 5.3: deletions remove d_r |x| s" (fun () ->
         let db = join_db () in
-        let view = join_view db in
+        let mgr, view = managed ~name:"v" db join_expr in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.delete "R" (Tuple.of_ints [ 1; 10 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "view"
@@ -318,9 +319,9 @@ let example_5_2_to_5_4_tests =
               ("S", rel [ "B"; "C" ] [ [ 10; 5 ]; [ 20; 6 ]; [ 30; 7 ] ]);
             ]
         in
-        let view = join_view db in
+        let mgr, view = managed ~name:"v" db join_expr in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [
                Transaction.insert "R" (Tuple.of_ints [ 4; 40 ]);
                Transaction.insert "S" (Tuple.of_ints [ 40; 9 ]);
@@ -349,7 +350,7 @@ let example_5_2_to_5_4_tests =
               ("S", rel [ "B"; "C" ] [ [ 10; 5 ]; [ 20; 6 ]; [ 30; 7 ] ]);
             ]
         in
-        let view = join_view db in
+        let view = View.define ~name:"v" ~db join_expr in
         let spj = View.spj view in
         let lookup name = Relation.schema (Database.find db name) in
         let r_delta =
@@ -414,8 +415,8 @@ let example_5_2_to_5_4_tests =
               ("S", rel [ "B"; "C" ] [ [ 10; 5 ]; [ 20; 15 ] ]);
             ]
         in
-        let view =
-          View.define ~name:"v" ~db
+        let mgr, view =
+          managed ~name:"v" db
             Expr.(
               project [ "A" ] (select (v "C" >% i 10) (join (base "R") (base "S"))))
         in
@@ -423,7 +424,7 @@ let example_5_2_to_5_4_tests =
           "initial" [ ([ 2 ], 1) ]
           (ints_contents (View.contents view));
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 7; 20 ]) ]);
         Alcotest.(check (list (pair (list int) int)))
           "after insert"

@@ -144,13 +144,13 @@ let select_tests =
                     (rename [ ("A", "x_A"); ("B", "x_B") ] (base "R"))))));
     quick "parsed views maintain correctly" (fun () ->
         let db = chain_db () in
-        let view =
-          Ivm.View.define ~name:"parsed" ~db
+        let mgr, view =
+          managed ~name:"parsed" db
             (Parser.view ~lookup:(lookup_in db)
                "SELECT A, C FROM R, S WHERE C <= 200")
         in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Ivm.Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 9; 20 ]) ]);
         Alcotest.(check bool) "consistent" true (Ivm.View.consistent view db));
     quick "statement errors" (fun () ->

@@ -114,9 +114,16 @@ let differential_equals_recompute seed =
   let ok = ref true in
   for _ = 1 to 3 do
     let txn = Generate.mixed_transaction rng scenario.db scenario.update_specs in
+    let options = random_options rng in
+    (* Algorithm 5.1's per-view step, run here rather than through a
+       manager, which would fix [minimize] and the options at definition:
+       every transaction draws its own options. *)
+    let net = Transaction.net_effect scenario.db txn in
+    Maintenance.apply_deletes scenario.db net;
     ignore
-      (Maintenance.process ~options:(random_options rng) ~views:[ view ]
-         ~db:scenario.db txn);
+      (Maintenance.maintain_differential ~options ~decision:None view
+         ~db:scenario.db ~net);
+    Maintenance.apply_inserts scenario.db net;
     if not (View.consistent view scenario.db) then ok := false
   done;
   !ok

@@ -183,6 +183,17 @@ let spj_tests =
               (Eval.eval db e)
               (Spj.eval (lookup_in db) db spj))
           exprs);
+    quick "example 4.1 prints as pi, sigma and product lines" (fun () ->
+        let db = example_4_1_db () in
+        let spj = Spj.compile (lookup_in db) (example_4_1_expr ()) in
+        Alcotest.(check (list string))
+          "lines"
+          [
+            "pi[A:=R.A, D:=S.D]";
+            "sigma[((R.A < 10 /\\ S.C > 5) /\\ R.B = S.C)]";
+            "(R x S)";
+          ]
+          (String.split_on_char '\n' (Format.asprintf "%a" Spj.pp spj)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -519,8 +530,8 @@ let rename_tests =
            with Spj.Compile_error _ -> true));
     quick "rename in a maintained view" (fun () ->
         let db = chain_db () in
-        let view =
-          Ivm.View.define ~name:"self" ~db
+        let mgr, view =
+          managed ~name:"self" db
             Expr.(
               project [ "A"; "B2" ]
                 (select (v "B" =% v "A2")
@@ -528,7 +539,7 @@ let rename_tests =
                       (rename [ ("A", "A2"); ("B", "B2") ] (base "R")))))
         in
         ignore
-          (Ivm.Maintenance.process ~views:[ view ] ~db
+          (Ivm.Manager.commit mgr
              [ Transaction.insert "R" (Tuple.of_ints [ 10; 1 ]) ]);
         Alcotest.(check bool) "consistent" true (Ivm.View.consistent view db));
   ]
@@ -597,9 +608,8 @@ let keys_tests =
                   (List.init 10 (fun b -> [ b; 100 + b ])) );
             ]
         in
-        let view =
-          Ivm.View.define ~keys:[ ("R", [ "A" ]); ("S", [ "B" ]) ] ~name:"kp"
-            ~db
+        let mgr, view =
+          managed ~keys:[ ("R", [ "A" ]); ("S", [ "B" ]) ] ~name:"kp" db
             Expr.(project [ "A"; "B" ] (join (base "R") (base "S")))
         in
         Alcotest.(check bool) "flagged" true (Ivm.View.duplicate_free view);
@@ -616,7 +626,7 @@ let keys_tests =
             List.map (fun t -> Transaction.delete "R" t) victims
             @ [ Transaction.insert "R" fresh ]
           in
-          ignore (Ivm.Maintenance.process ~views:[ view ] ~db txn);
+          ignore (Ivm.Manager.commit mgr txn);
           Relation.iter
             (fun _ c -> Alcotest.(check int) "unit counter" 1 c)
             (Ivm.View.contents view)

@@ -806,9 +806,8 @@ let index_tests =
         in
         let db = scenario.Workload.Scenario.db in
         ignore (Relation.index (Database.find db "S") ~positions:[| 0 |]);
-        let view =
-          Ivm.View.define ~name:"ix" ~db
-            Query.Expr.(join (base "R") (base "S"))
+        let mgr, view =
+          managed ~name:"ix" db Query.Expr.(join (base "R") (base "S"))
         in
         for _ = 1 to 15 do
           let txn =
@@ -818,7 +817,7 @@ let index_tests =
                 ("S", Workload.Scenario.columns_of scenario "S", 2, 2);
               ]
           in
-          ignore (Ivm.Maintenance.process ~views:[ view ] ~db txn)
+          ignore (Ivm.Manager.commit mgr txn)
         done;
         Alcotest.(check bool) "consistent" true (Ivm.View.consistent view db));
   ]

@@ -304,11 +304,7 @@ let self_heal_on_next_commit () =
 
 let disable_after_exhausted_heals_then_repair () =
   let db = example_db () in
-  let mgr =
-    Manager.create ~domains:1 ~policy:Policy.Quarantine
-      ~retry:{ fast_retry with attempts = 1 }
-      db
-  in
+  let mgr = Manager.create ~domains:1 ~policy:Policy.Quarantine db in
   ignore (Manager.define_view mgr ~name:"v" join_expr);
   with_faults ~only:[ "eval"; "recompute" ] ~rate:1.0 (fun () ->
       ignore

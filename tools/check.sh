@@ -75,6 +75,18 @@ for d in 1 2 4; do
   step "dune exec bin/ivm_cli.exe -- metrics --transactions 10 --domains $d \
     | tail -1 | grep -q '^# EOF'"
 done
+# Paper walkthrough and example programs: `example` commits Example
+# 4.1's insertion of (9,10) through the manager and must show the new
+# view row (9, 20); each example program prints its verdict against full
+# re-evaluation, which must read true.
+step "dune exec bin/ivm_cli.exe -- example | grep -q '| 9 | 20 |'"
+step "dune exec examples/quickstart.exe \
+  | grep -q 'consistent with full re-evaluation: true\$'"
+step "dune exec examples/realtime_dashboard.exe \
+  | grep -q 'all views consistent with full re-evaluation: true\$'"
+step "dune exec examples/snapshot_refresh.exe \
+  | grep -q 'rows; consistent: true\$'"
+
 step "dune exec bin/ivm_cli.exe -- lint --all-scenarios"
 
 # Lint gate, machine-readable: the JSON report over the built-in
