@@ -462,7 +462,9 @@ let write_checkpoint mgr d =
     (live_state mgr);
   d.baselined <- true;
   Resilience.Fault.point "wal-truncate";
+  let t0 = Obs.Clock.now_ns () in
   Durability.Wal.truncate_to_header d.wal;
+  Durability.Checkpoint.observe_stage "truncate" (Obs.Clock.now_ns () - t0);
   d.since_checkpoint <- 0
 
 (* Every durable operation starts by making sure a baseline checkpoint

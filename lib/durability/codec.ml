@@ -1,10 +1,13 @@
 open Relalg
 
 exception Corrupt of string
+exception Frame_too_large of int
 
 let () =
   Printexc.register_printer (function
     | Corrupt msg -> Some (Printf.sprintf "Durability.Codec.Corrupt(%s)" msg)
+    | Frame_too_large len ->
+      Some (Printf.sprintf "Durability.Codec.Frame_too_large(%d)" len)
     | _ -> None)
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
@@ -71,6 +74,17 @@ let crc32 ?(crc = 0l) s ~pos ~len =
       lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xffffffff)
+
+(* ------------------------------------------------------------------ *)
+(* frames                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let max_frame = 0xffff_ffff
+
+let set_frame_header b pos ~len ~crc =
+  if len < 0 || len > max_frame then raise (Frame_too_large len);
+  Bytes.set_int32_le b pos (Int32.of_int len);
+  Bytes.set_int32_le b (pos + 4) crc
 
 (* ------------------------------------------------------------------ *)
 (* primitives                                                           *)
@@ -177,7 +191,9 @@ let r_value r =
 
 let w_tuple b t =
   w_int b (Array.length t);
-  Array.iter (w_value b) t
+  for i = 0 to Array.length t - 1 do
+    w_value b (Array.unsafe_get t i)
+  done
 
 let r_tuple r =
   let n = r_len r in
@@ -234,15 +250,21 @@ let r_schema r =
   | schema -> schema
   | exception Invalid_argument msg -> corrupt "bad schema: %s" msg
 
-let w_relation b rel =
+let chunk = 1 lsl 16
+
+let w_relation ?flush b rel =
   w_schema b (Relation.schema rel);
-  let sorted = Relation.sorted_array rel in
-  w_int b (Array.length sorted);
-  Array.iter
-    (fun (tuple, count) ->
+  w_int b (Relation.cardinal rel);
+  Relation.iter_sorted
+    (fun tuple count ->
       w_tuple b tuple;
-      w_int b count)
-    sorted
+      w_int b count;
+      match flush with
+      | Some flush when Buffer.length b >= chunk ->
+        flush b;
+        Buffer.clear b
+      | Some _ | None -> ())
+    rel
 
 (* Decodes straight into a relation presized by the length prefix; a
    counted tuple costs at least its arity word and its counter.  A

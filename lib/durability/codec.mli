@@ -3,16 +3,23 @@
     Fixed-width little-endian integers, length-prefixed strings, and
     encoders for the {!Relalg} values the WAL and checkpoint files
     carry.  Counted relations serialize in tuple order
-    ({!Relalg.Relation.sorted_array}), so encoding is deterministic:
-    the same state always produces the same bytes, whatever the hash
-    tables' iteration order.  (The crash-recovery oracle does not rely
-    on that: it compares decoded images with {!State.diff}.)
+    ({!Relalg.Relation.iter_sorted}), so encoding is deterministic: the
+    same state always produces the same bytes, whatever the hash
+    tables' insert, delete and resize history.  The tests pin this: the
+    order equals [List.sort Tuple.compare], equal relations with
+    different histories encode identically, and one seeded checkpoint
+    has a golden CRC.  (The crash-recovery oracle does not rely on it:
+    it compares decoded images with {!State.diff}.)
 
     Decoders never read past the input; any malformed input raises
     {!Corrupt} with a diagnostic instead of an [Invalid_argument] or an
     out-of-bounds crash. *)
 
 exception Corrupt of string
+
+exception Frame_too_large of int
+(** A payload longer than a frame's u32 length field can state; the
+    argument is its length.  Raised before anything is written. *)
 
 (** {2 CRC-32} *)
 
@@ -22,6 +29,20 @@ exception Corrupt of string
     @raise Invalid_argument when [pos] and [len] do not name a range
     of [s]. *)
 val crc32 : ?crc:int32 -> string -> pos:int -> len:int -> int32
+
+(** {2 Frames}
+
+    WAL records and the checkpoint payload travel in the same frame:
+    [<u32le len> <u32le crc32> <payload>]. *)
+
+(** The longest payload a frame can carry, [2^32 - 1] bytes. *)
+val max_frame : int
+
+(** [set_frame_header b pos ~len ~crc] writes a frame's 8-byte header
+    at [pos].
+    @raise Frame_too_large when [len] exceeds {!max_frame}, so a length
+    never wraps silently. *)
+val set_frame_header : Bytes.t -> int -> len:int -> crc:int32 -> unit
 
 (** {2 Primitive writers (into a [Buffer.t])} *)
 
@@ -63,11 +84,20 @@ val r_tuple : reader -> Relalg.Tuple.t
 val w_schema : Buffer.t -> Relalg.Schema.t -> unit
 val r_schema : reader -> Relalg.Schema.t
 
-(** Schema + counted elements in tuple order.  Decoding reads straight
-    into a relation presized by the length prefix, after checking that
-    the prefix fits the remaining bytes, every counter is positive and
-    every tuple fits the schema. *)
-val w_relation : Buffer.t -> Relalg.Relation.t -> unit
+(** Bytes a streaming writer lets collect before it hands them on: 64 KiB. *)
+val chunk : int
+
+(** Schema + counted elements in tuple order.  With [flush], the
+    writer streams: whenever the buffer holds {!chunk} bytes or more
+    after a tuple, it is passed to [flush] and then cleared, so a
+    relation of any size goes out through a buffer bounded by {!chunk}
+    plus one tuple.  Without it, the whole relation is appended.
+
+    Decoding reads straight into a relation presized by the length
+    prefix, after checking that the prefix fits the remaining bytes,
+    every counter is positive and every tuple fits the schema. *)
+val w_relation :
+  ?flush:(Buffer.t -> unit) -> Buffer.t -> Relalg.Relation.t -> unit
 
 val r_relation : reader -> Relalg.Relation.t
 

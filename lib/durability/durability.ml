@@ -16,3 +16,4 @@ module Checkpoint = Checkpoint
 
 exception Incompatible_wal = Wal.Incompatible_wal
 exception Corrupt = Codec.Corrupt
+exception Frame_too_large = Codec.Frame_too_large

@@ -75,27 +75,27 @@ let r_health r =
     Disabled { error; since; heal_failures }
   | t -> raise (Codec.Corrupt (Printf.sprintf "bad health tag %d" t))
 
-let w_view b v =
+let w_view ?flush b v =
   Codec.w_string b v.view;
   w_health b v.health;
-  Codec.w_relation b v.contents;
-  Codec.w_option Codec.w_relation b v.grouped;
+  Codec.w_relation ?flush b v.contents;
+  Codec.w_option (Codec.w_relation ?flush) b v.grouped;
   Codec.w_list
     (fun b (relation, inserts, deletes) ->
       Codec.w_string b relation;
-      Codec.w_relation b inserts;
-      Codec.w_relation b deletes)
+      Codec.w_relation ?flush b inserts;
+      Codec.w_relation ?flush b deletes)
     b v.pending
 
-let encode b t =
+let encode ?flush b t =
   Codec.w_int b t.seq;
   Codec.w_int b t.lsn;
   Codec.w_list
     (fun b (name, rel) ->
       Codec.w_string b name;
-      Codec.w_relation b rel)
+      Codec.w_relation ?flush b rel)
     b t.relations;
-  Codec.w_list w_view b t.views
+  Codec.w_list (w_view ?flush) b t.views
 
 let decode r =
   let seq = Codec.r_int r in

@@ -42,7 +42,12 @@ type t = {
     while the engine the image was taken from moves on. *)
 val copy : t -> t
 
-val encode : Buffer.t -> t -> unit
+(** [encode ?flush b t] appends [t]'s encoding to [b].  [flush]
+    streams it as in {!Codec.w_relation}: the buffer is handed on and
+    cleared between tuples whenever it reaches {!Codec.chunk} bytes, and
+    what is left at the end stays in [b] for the caller. *)
+val encode : ?flush:(Buffer.t -> unit) -> Buffer.t -> t -> unit
+
 val decode : Codec.reader -> t
 val w_health : Buffer.t -> health -> unit
 val r_health : Codec.reader -> health

@@ -10,10 +10,6 @@ let magic = "IVMWAL"
 let version = 1
 let header_size = String.length magic + 2
 
-(* A frame longer than this is torn/garbage, not data: it bounds how
-   much a corrupted length prefix can make the scanner allocate. *)
-let max_frame = 1 lsl 26
-
 let header_bytes =
   let b = Buffer.create header_size in
   Buffer.add_string b magic;
@@ -61,7 +57,9 @@ let check_header ~path content =
               version))
 
 (* Scan frames from [header_size]; returns the whole records (with their
-   byte extents) and the offset where the good prefix ends. *)
+   byte extents) and the offset where the good prefix ends.  A frame is
+   bounded only by the bytes left in the file, and decoding allocates
+   against those too, so any length [append] can write reads back. *)
 let scan content =
   let size = String.length content in
   let records = ref [] in
@@ -74,7 +72,7 @@ let scan content =
     else begin
       let len = Int32.to_int (String.get_int32_le content !off) land 0xffffffff in
       let crc = String.get_int32_le content (!off + 4) in
-      if len > max_frame || len > remaining - 8 then stop := true
+      if len > remaining - 8 then stop := true
       else if Codec.crc32 content ~pos:(!off + 8) ~len <> crc then stop := true
       else begin
         match
@@ -152,9 +150,8 @@ let append t record =
      than copied through a second Buffer. *)
   let frame = Bytes.create (8 + len) in
   Buffer.blit payload 0 frame 8 len;
-  Bytes.set_int32_le frame 0 (Int32.of_int len);
-  Bytes.set_int32_le frame 4
-    (Codec.crc32 (Bytes.unsafe_to_string frame) ~pos:8 ~len);
+  Codec.set_frame_header frame 0 ~len
+    ~crc:(Codec.crc32 (Bytes.unsafe_to_string frame) ~pos:8 ~len);
   write_all t.fd frame 0 (8 + len);
   t.size <- t.size + 8 + len;
   t.last_lsn <- lsn;

@@ -40,7 +40,11 @@ val open_ : fsync:Config.fsync -> string -> t * (int * Record.t) list
     or {!sync} (unconditional) after; the split lets the manager place a
     crash-injection point between the write and the sync.  Raises
     [Unix.Unix_error] on I/O failure — the caller should treat that as
-    fatal for durability (the in-memory commit has already happened). *)
+    fatal for durability (the in-memory commit has already happened).
+    @raise Codec.Frame_too_large when the payload exceeds the frame's
+    u32 length field, before anything is written.  Every frame it
+    writes reads back: the scan bounds a frame only by the bytes left
+    in the file. *)
 val append : t -> Record.t -> int
 
 (** Apply the configured fsync policy to buffered appends: [Always]

@@ -15,7 +15,14 @@ module Fault = Resilience.Fault
    against a reference rebuilt over the recovered base state. *)
 
 let wal_points =
-  [ "wal-apply"; "wal-append"; "wal-fsync"; "wal-checkpoint"; "wal-truncate" ]
+  [
+    "wal-apply";
+    "wal-append";
+    "wal-fsync";
+    "wal-checkpoint";
+    "wal-checkpoint-seal";
+    "wal-truncate";
+  ]
 
 type report = {
   crashed : bool;

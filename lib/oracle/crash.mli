@@ -3,9 +3,10 @@
     Extends the oracle harness to the durability contract: a fuzz
     stream runs against a write-ahead-logged manager with fault
     injection armed over the WAL kill points ([wal-apply],
-    [wal-append], [wal-fsync], [wal-checkpoint], [wal-truncate]) as
-    well as the usual maintenance points.  An injected fault escaping
-    from a kill point is a simulated process death; the harness then
+    [wal-append], [wal-fsync], [wal-checkpoint], [wal-checkpoint-seal],
+    [wal-truncate]) as well as the usual maintenance points.  An
+    injected fault escaping from a kill point is a simulated process
+    death; the harness then
 
     - optionally tears the last WAL record at a seed-chosen byte
       offset (a crash mid-append),

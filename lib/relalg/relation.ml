@@ -79,18 +79,108 @@ let iter f r = Tuple_table.iter f r.table
 let fold f r init = Tuple_table.fold f r.table init
 let elements r = fold (fun t c acc -> (t, c) :: acc) r []
 
-let sorted_array r =
-  let a = Array.make (cardinal r) ([||], 0) in
-  let i = ref 0 in
+(* Relations this small take the comparison sort: each radix pass
+   costs a 257-slot count table besides its two sweeps. *)
+let radix_cutoff = 64
+
+(* Stable LSD radix sort of [order] (indexes into [keys]) by
+   [keys.(i) - lo], which lies in [0, range]: 8 bits a pass, only as
+   many passes as [range] needs. *)
+let radix_sort keys ~lo ~range order =
+  let n = Array.length order in
+  let src = ref order and dst = ref (Array.make n 0) in
+  let starts = Array.make 257 0 in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && range lsr !shift > 0 do
+    let from = !src and into = !dst and shift' = !shift in
+    Array.fill starts 0 257 0;
+    for j = 0 to n - 1 do
+      let d = (((keys.(from.(j)) - lo) lsr shift') land 0xff) + 1 in
+      starts.(d) <- starts.(d) + 1
+    done;
+    for d = 1 to 256 do
+      starts.(d) <- starts.(d) + starts.(d - 1)
+    done;
+    for j = 0 to n - 1 do
+      let i = from.(j) in
+      let d = ((keys.(i) - lo) lsr shift') land 0xff in
+      into.(starts.(d)) <- i;
+      starts.(d) <- starts.(d) + 1
+    done;
+    src := into;
+    dst := from;
+    shift := shift' + 8
+  done;
+  if !src != order then Array.blit !src 0 order 0 n
+
+(* The one ordering routine behind every sorted view of a relation:
+   its tuples and counters in parallel arrays, and the permutation that
+   lists them in [Tuple.compare] order.  When every tuple has the
+   schema's (nonzero) arity and an [Int] first column -- every relation
+   over an Int-keyed schema -- that column is radix-sorted and
+   [Tuple.compare] only orders runs of equal keys, which is linear on
+   the usual near-unique keys.  Anything else (a string or mixed first
+   column, arity 0, a tuple of another arity, a key range wider than
+   [max_int], a small relation) takes the comparison sort.  Distinct
+   tuples never compare equal, so both paths give the same order. *)
+let sorted_order r =
+  let n = cardinal r in
+  let tuples = Array.make n [||] and counts = Array.make n 0 in
+  let next = ref 0 in
   iter
     (fun t c ->
-      a.(!i) <- (t, c);
-      incr i)
+      tuples.(!next) <- t;
+      counts.(!next) <- c;
+      incr next)
     r;
-  Array.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) a;
-  a
+  (* The keys are read in a loop of their own: its loads do not depend
+     on each other, so their cache misses overlap, which they do not
+     while the hash table is walked. *)
+  let keys = Array.make n 0 in
+  let arity = Schema.arity r.schema in
+  let int_keys = ref (n > radix_cutoff && arity > 0) in
+  let lo = ref max_int and hi = ref min_int in
+  let i = ref 0 in
+  while !int_keys && !i < n do
+    let t = tuples.(!i) in
+    (if Array.length t <> arity then int_keys := false
+     else
+       match t.(0) with
+       | Value.Int k ->
+         keys.(!i) <- k;
+         if k < !lo then lo := k;
+         if k > !hi then hi := k
+       | Value.Str _ -> int_keys := false);
+    incr i
+  done;
+  let order = Array.init n Fun.id in
+  let by_tuple a b = Tuple.compare tuples.(a) tuples.(b) in
+  let sort_range pos len =
+    let run = Array.sub order pos len in
+    Array.stable_sort by_tuple run;
+    Array.blit run 0 order pos len
+  in
+  let range = !hi - !lo in
+  if !int_keys && range >= 0 then begin
+    radix_sort keys ~lo:!lo ~range order;
+    let start = ref 0 in
+    for i = 1 to n do
+      if i = n || keys.(order.(i)) <> keys.(order.(!start)) then begin
+        if i - !start > 1 then sort_range !start (i - !start);
+        start := i
+      end
+    done
+  end
+  else sort_range 0 n;
+  (tuples, counts, order)
 
-let sorted_elements r = Array.to_list (sorted_array r)
+let iter_sorted f r =
+  let tuples, counts, order = sorted_order r in
+  Array.iter (fun i -> f tuples.(i) counts.(i)) order
+
+let sorted_elements r =
+  let tuples, counts, order = sorted_order r in
+  Array.fold_right (fun i acc -> (tuples.(i), counts.(i)) :: acc) order []
 
 let of_tuples schema tuples =
   let r = create ~size_hint:(List.length tuples) schema in

@@ -46,13 +46,18 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Distinct tuples with their counts, in unspecified order. *)
 val elements : t -> (Tuple.t * int) list
 
-(** Distinct tuples with their counts, sorted by tuple order (stable for
-    printing and comparison in tests). *)
-val sorted_elements : t -> (Tuple.t * int) list
+(** [iter_sorted f r] calls [f tuple count] for every distinct tuple of
+    [r] in {!Tuple.compare} order, whatever the hash table's history.
+    The order is computed once per call: when every tuple has the
+    schema's nonzero arity and an [Int] first column, by a radix sort
+    of that column with {!Tuple.compare} only inside runs of equal keys
+    (linear time on near-unique keys); otherwise by a comparison
+    sort. *)
+val iter_sorted : (Tuple.t -> int -> unit) -> t -> unit
 
-(** {!sorted_elements} as an array, built and sorted without an
-    intermediate list. *)
-val sorted_array : t -> (Tuple.t * int) array
+(** Distinct tuples with their counts, in {!iter_sorted} order (stable
+    for printing and comparison in tests). *)
+val sorted_elements : t -> (Tuple.t * int) list
 
 (** [of_tuples schema tuples] builds a relation with counter increments of
     one per listed tuple (duplicates accumulate). Type-checks every tuple. *)

@@ -158,6 +158,18 @@ let codec_tests =
               Alcotest.fail (Printf.sprintf "pos %d len %d accepted" pos len)
             | exception Invalid_argument _ -> ())
           [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (3, 8); (max_int, 1) ]);
+    quick "a frame header refuses a length past its u32 field" (fun () ->
+        let b = Bytes.make 8 '\000' in
+        Codec.set_frame_header b 0 ~len:Codec.max_frame ~crc:7l;
+        Alcotest.(check int) "2^32 - 1 fits" Codec.max_frame
+          (Int32.to_int (Bytes.get_int32_le b 0) land 0xffffffff);
+        List.iter
+          (fun len ->
+            match Codec.set_frame_header b 0 ~len ~crc:0l with
+            | () -> Alcotest.fail (Printf.sprintf "length %d accepted" len)
+            | exception Durability.Frame_too_large n ->
+              Alcotest.(check int) "reported length" len n)
+          [ 1 lsl 32; -1 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -423,6 +435,177 @@ let payload_fuzz_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Ordering: the encoding is a function of the relation's value        *)
+(* ------------------------------------------------------------------ *)
+
+(* First-column kinds covering every branch of the ordering routine:
+   ties in long runs (with negatives), keys needing six radix passes,
+   keys at [min_int]/[max_int] whose range overflows, strings, and a
+   mixed column. *)
+let column_gen kind =
+  let open QCheck.Gen in
+  let ints g = map (fun i -> Value.Int i) g in
+  let str =
+    map
+      (fun s -> Value.Str s)
+      (string_size ~gen:(char_range 'a' 'c') (int_bound 3))
+  in
+  match kind with
+  | `Ties -> ints (int_range (-3) 3)
+  | `Wide -> ints (int_range (-(1 lsl 40)) (1 lsl 40))
+  | `Extreme ->
+    ints (oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ])
+  | `Str -> str
+  | `Mixed -> oneof [ ints (int_range (-3) 3); str ]
+
+(* A relation's counted tuples: arity 0 to 3, sometimes ragged (two
+   arities in one relation), sized on both sides of the radix cutoff. *)
+let counted_gen =
+  let open QCheck.Gen in
+  let* arity = int_range 0 3 in
+  let* ragged = bool in
+  let* first = oneofl [ `Ties; `Wide; `Extreme; `Str; `Mixed ] in
+  let* size = oneof [ int_range 0 70; int_range 60 300 ] in
+  let tuple =
+    let* arity = if ragged then oneofl [ arity; arity + 1 ] else return arity in
+    map Array.of_list
+      (flatten_l
+         (List.init arity (fun i ->
+              column_gen (if i = 0 then first else `Ties))))
+  in
+  list_repeat size (pair tuple (int_range 1 3))
+
+let show_counted counted =
+  String.concat " "
+    (List.map
+       (fun (t, c) -> Printf.sprintf "%sx%d" (Tuple.to_string t) c)
+       counted)
+
+let counted_arb = QCheck.make ~print:show_counted counted_gen
+
+let schema_for counted =
+  let arity =
+    List.fold_left (fun a (t, _) -> max a (Array.length t)) 0 counted
+  in
+  int_schema (List.init arity (Printf.sprintf "c%d"))
+
+let relation_of counted =
+  let r = Relation.create (schema_for counted) in
+  List.iter (fun (t, c) -> Relation.add ~count:c r t) counted;
+  r
+
+let encoded rel =
+  let b = Buffer.create 256 in
+  Codec.w_relation b rel;
+  Buffer.contents b
+
+(* The format written out by hand: schema, length, then every counted
+   tuple in [List.sort Tuple.compare] order. *)
+let reference_encoding rel =
+  let b = Buffer.create 256 in
+  Codec.w_schema b (Relation.schema rel);
+  let sorted =
+    List.sort (fun (a, _) (b, _) -> Tuple.compare a b) (Relation.elements rel)
+  in
+  Codec.w_int b (List.length sorted);
+  List.iter
+    (fun (t, c) ->
+      Codec.w_tuple b t;
+      Codec.w_int b c)
+    sorted;
+  Buffer.contents b
+
+(* The orders scenario at 1/20 of the benchmark's size, its three
+   [oltp] views, 200 seeded commits. *)
+let seeded_orders_state () =
+  let sc =
+    Workload.Scenario.orders ~rng:(Workload.Rng.make 1986) ~customers:100
+      ~orders:2000
+  in
+  let db = sc.Workload.Scenario.db in
+  let mgr = Manager.create ~domains:1 db in
+  let open Condition.Formula.Dsl in
+  List.iter
+    (fun (name, expr) -> ignore (Manager.define_view mgr ~name expr))
+    [
+      ( "dashboard",
+        Query.Expr.(
+          project [ "oid"; "cid"; "amount" ]
+            (select
+               ((v "amount" >% i 900) &&% (v "region" =% s "north"))
+               (join (base "orders") (base "customers")))) );
+      ( "hot_orders",
+        Query.Expr.(
+          project [ "oid"; "amount" ]
+            (select (v "amount" >% i 950) (base "orders")))
+      );
+      ( "revenue",
+        Query.Expr.(
+          group_by ~keys:[ "cid" ]
+            [
+              { Query.Aggregate.func = Count; output = "n_orders" };
+              { Query.Aggregate.func = Sum "amount"; output = "revenue" };
+            ]
+            (base "orders")) );
+    ];
+  let columns = Workload.Scenario.columns_of sc "orders" in
+  let rng = Workload.Rng.make 7 in
+  for _ = 1 to 200 do
+    ignore
+      (Manager.commit mgr
+         (Workload.Generate.transaction rng db "orders" ~columns ~inserts:4
+            ~deletes:4))
+  done;
+  Manager.capture_state mgr
+
+(* The file the pre-streaming encoder wrote for that state.  A
+   deliberate format change updates them and says so in CHANGES.md. *)
+let golden_size = 223_646
+let golden_crc = 0xAB22E255l
+
+let ordering_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"the encoder's order is List.sort Tuple.compare" counted_arb
+         (fun counted ->
+           let rel = relation_of counted in
+           let expected =
+             List.sort
+               (fun (a, _) (b, _) -> Tuple.compare a b)
+               (Relation.elements rel)
+           in
+           Relation.sorted_elements rel = expected
+           && encoded rel = reference_encoding rel));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"equal relations with different histories encode alike"
+         (QCheck.pair counted_arb counted_arb)
+         (fun (counted, junk) ->
+           let direct = relation_of counted in
+           (* Grown from one slot through resizes, the tuples arriving in
+              reverse behind junk that is then deleted again. *)
+           let churned =
+             Relation.create ~size_hint:1 (Relation.schema direct)
+           in
+           let add (t, c) = Relation.add ~count:c churned t in
+           List.iter add junk;
+           List.iter add (List.rev counted);
+           List.iter (fun (t, c) -> Relation.update churned t (-c)) junk;
+           Relation.equal direct churned && encoded direct = encoded churned));
+    quick "a seeded checkpoint keeps its golden CRC-32" (fun () ->
+        with_dir "golden" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "checkpoint.bin" in
+            Durability.Checkpoint.write path (seeded_orders_state ());
+            let content = read_file path in
+            Alcotest.(check int) "file size" golden_size
+              (String.length content);
+            Alcotest.(check int32) "CRC-32 of the file" golden_crc
+              (Codec.crc32 content ~pos:0 ~len:(String.length content))));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* WAL file                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -595,6 +778,19 @@ let wal_tests =
                    (String.split_on_char '\n' first));
             Alcotest.(check string) "second dump reports the same" first
               second));
+    quick "a 65 MiB record reads back whole" (fun () ->
+        with_dir "wal-large" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "wal.bin" in
+            let wal, _ = Wal.open_ ~fsync:Durability.Config.Never path in
+            let record =
+              Record.Repair { seq = 1; view = String.make (65 lsl 20) 'v' }
+            in
+            ignore (Wal.append wal record);
+            let records, torn = Wal.read path in
+            Alcotest.(check int) "no torn bytes" 0 torn;
+            Alcotest.(check bool) "the record survives" true
+              (records = [ (1, record) ])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -869,6 +1065,109 @@ let manager_tests =
               ignore (Manager.create ~domains:1 ~durability:config (make_db ()));
               Alcotest.fail "foreign WAL accepted"
             with Durability.Incompatible_wal _ -> ()));
+    quick "commits past 64 MiB recover whole" (fun () ->
+        with_dir "mgr-large" (fun dir ->
+            let make_db () =
+              db_of
+                [
+                  ( "docs",
+                    Relation.create
+                      (Schema.make
+                         [ ("id", Value.Int_ty); ("body", Value.Str_ty) ]) );
+                ]
+            in
+            let config =
+              Durability.Config.make ~fsync:Durability.Config.Always dir
+            in
+            let db = make_db () in
+            let mgr = Manager.create ~domains:1 ~durability:config db in
+            let doc id body =
+              Transaction.insert "docs" [| Value.Int id; Value.Str body |]
+            in
+            let mib = String.make (1 lsl 20) 'x' in
+            List.iter
+              (fun txn -> ignore (Manager.commit mgr txn))
+              [
+                [ doc 0 "small" ];
+                List.init 70 (fun i -> doc (i + 1) mib);
+                [ doc 71 "small" ];
+              ];
+            Alcotest.(check int) "72 tuples before the crash" 72
+              (Relation.cardinal (Database.find db "docs"));
+            let expected = Manager.capture_state mgr in
+            let db2 = make_db () in
+            let mgr2 = Manager.create ~domains:1 ~durability:config db2 in
+            let info = Manager.recover mgr2 in
+            Alcotest.(check int) "no torn bytes" 0 info.Manager.torn_bytes;
+            Alcotest.(check int) "every record replayed" 3
+              info.Manager.records_replayed;
+            Alcotest.(check int) "commit seq" 3 (Manager.commit_seq mgr2);
+            Alcotest.(check int) "72 tuples after recovery" 72
+              (Relation.cardinal (Database.find db2 "docs"));
+            check_state "recovered" expected (Manager.capture_state mgr2)));
+    quick "a kill at wal-checkpoint-seal keeps the old checkpoint" (fun () ->
+        with_dir "mgr-seal" (fun dir ->
+            let mgr, _ = run_durable ~seed:21 ~transactions:3 dir in
+            Manager.checkpoint mgr;
+            let ckpt = checkpoint_path dir in
+            let old_bytes = read_file ckpt in
+            ignore
+              (Manager.commit mgr
+                 [ Transaction.insert "R" (Tuple.of_ints [ 100; 2 ]) ]);
+            let expected = Manager.capture_state mgr in
+            Resilience.Fault.configure ~only:[ "wal-checkpoint-seal" ]
+              ~rate:1.0 ();
+            (match
+               Fun.protect ~finally:Resilience.Fault.disable (fun () ->
+                   Manager.checkpoint mgr)
+             with
+            | () -> Alcotest.fail "the checkpoint was not killed"
+            | exception Resilience.Fault.Injected "wal-checkpoint-seal" -> ());
+            Alcotest.(check bool) "checkpoint.bin keeps its bytes" true
+              (read_file ckpt = old_bytes);
+            Alcotest.(check bool) "no temp file left" false
+              (Sys.file_exists (ckpt ^ ".tmp"));
+            let mgr2, info = fresh_recovered dir in
+            Alcotest.(check int) "the record past the checkpoint replayed" 1
+              info.Manager.records_replayed;
+            check_state "recovered" expected (Manager.capture_state mgr2);
+            Manager.checkpoint mgr2;
+            match Durability.Checkpoint.read ckpt with
+            | Some written -> check_state "next checkpoint" expected written
+            | None -> Alcotest.fail "no checkpoint after recovery"));
+    quick "a checkpoint times each of its stages once" (fun () ->
+        with_dir "mgr-stages" (fun dir ->
+            let mgr, _ = run_durable ~seed:22 ~transactions:3 dir in
+            let stages =
+              [ "encode"; "write"; "fsync"; "publish"; "truncate" ]
+            in
+            let sample stage =
+              match
+                Obs.Metrics.histogram ~labels:[ ("stage", stage) ]
+                  "ivm_wal_checkpoint_ns"
+              with
+              | Some h -> (h.Obs.Metrics.count, h.Obs.Metrics.sum)
+              | None -> (0, 0)
+            in
+            Obs.Control.with_enabled (fun () ->
+                let before = List.map sample stages in
+                let t0 = Obs.Clock.now_ns () in
+                Manager.checkpoint mgr;
+                let elapsed = Obs.Clock.now_ns () - t0 in
+                let after = List.map sample stages in
+                let total =
+                  List.fold_left2
+                    (fun total (stage, (n0, sum0)) (n1, sum1) ->
+                      Alcotest.(check int) (stage ^ ": one sample") 1 (n1 - n0);
+                      total + (sum1 - sum0))
+                    0
+                    (List.combine stages before)
+                    after
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "stages sum to %d ns <= %d ns around the call"
+                     total elapsed)
+                  true (total <= elapsed))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1011,6 +1310,7 @@ let () =
       ("codec", codec_tests);
       ("records", record_tests);
       ("fuzz", payload_fuzz_tests);
+      ("ordering", ordering_tests);
       ("wal", wal_tests);
       ("manager", manager_tests);
       ("torn-tail", torn_tail_tests);

@@ -87,6 +87,24 @@ step "dune exec examples/realtime_dashboard.exe \
 step "dune exec examples/snapshot_refresh.exe \
   | grep -q 'rows; consistent: true\$'"
 
+# Cross-history byte identity: one seeded stream, checkpointed every 100
+# records and then recovered (checkpoint decoded, 50 records replayed,
+# closing checkpoint rewritten), must leave the same checkpoint bytes as
+# the stream checkpointed live at its last record; wal_dump must read
+# the recovered directory.
+ckp="${TMPDIR:-/tmp}/ivm-check-ckp-$$"
+rm -rf "$ckp"
+mkdir -p "$ckp"
+step "dune exec bin/ivm_cli.exe -- stream --wal $ckp/a --transactions 250 \
+  --checkpoint-every 100 --seed 7 > /dev/null"
+step "dune exec bin/ivm_cli.exe -- recover --wal $ckp/a --seed 7 \
+  | grep -q '^consistent: true\$'"
+step "dune exec bin/ivm_cli.exe -- stream --wal $ckp/b --transactions 250 \
+  --checkpoint-every 250 --seed 7 > /dev/null"
+step "cmp $ckp/a/checkpoint.bin $ckp/b/checkpoint.bin"
+step "dune exec tools/wal_dump.exe -- $ckp/a > /dev/null"
+rm -rf "$ckp"
+
 step "dune exec bin/ivm_cli.exe -- lint --all-scenarios"
 
 # Lint gate, machine-readable: the JSON report over the built-in
