@@ -1,13 +1,16 @@
 (* E10: immediate maintenance vs deferred snapshot refresh [AL80].
    Identical 100-transaction streams; the deferred manager refreshes
-   every k transactions.  Composition makes deferred cheaper when churn
-   overlaps, at the cost of staleness between refreshes. *)
+   every k transactions.  Banking nets overlapping churn, which makes
+   deferred cheaper, at the cost of staleness between refreshes.  Each
+   arm runs [repeats] fresh streams and reports the median and range of
+   the time spent in commits and refreshes. *)
 
-module View = Ivm.View
 module Manager = Ivm.Manager
 module Generate = Workload.Generate
 module Scenario = Workload.Scenario
 module Rng = Workload.Rng
+
+let repeats = 5
 
 let run_stream ~mode ~refresh_every seed =
   let rng = Rng.make seed in
@@ -18,58 +21,70 @@ let run_stream ~mode ~refresh_every seed =
   ignore
     (Manager.define_view mgr ~name:"v" ~mode
        Query.Expr.(join (Query.Expr.base "R") (Query.Expr.base "S")));
-  (* Pre-generate the stream outside the timer. *)
-  let transactions =
-    List.init 100 (fun _ ->
-        Generate.mixed_transaction rng db
-          [
-            ("R", Scenario.columns_of scenario "R", 3, 3);
-            ("S", Scenario.columns_of scenario "S", 2, 2);
-          ]
-        (* Transactions are generated against the current state, so apply
-           them as we go rather than precomputing: regenerate below. *))
+  let specs =
+    [
+      ("R", Scenario.columns_of scenario "R", 3, 3);
+      ("S", Scenario.columns_of scenario "S", 2, 2);
+    ]
   in
-  ignore transactions;
-  (* The generator samples deletions from the live state, so timing must
-     include generation; keep it identical across modes by reseeding. *)
   let rng = Rng.make (seed * 7) in
-  let elapsed =
-    Bench_util.time_once (fun () ->
-        List.iteri
-          (fun idx () ->
-            let txn =
-              Generate.mixed_transaction rng db
-                [
-                  ("R", Scenario.columns_of scenario "R", 3, 3);
-                  ("S", Scenario.columns_of scenario "S", 2, 2);
-                ]
-            in
-            ignore (Manager.commit mgr txn);
-            if mode = Manager.Deferred && (idx + 1) mod refresh_every = 0 then
-              ignore (Manager.refresh mgr "v"))
-          (List.init 100 (fun _ -> ())))
-  in
+  let elapsed = ref 0.0 in
+  for idx = 1 to 100 do
+    (* The generator samples deletions from the live state, so each
+       transaction is drawn just before its commit, outside the timer;
+       both modes see the same base states, hence the same stream. *)
+    let txn = Generate.mixed_transaction rng db specs in
+    elapsed :=
+      !elapsed
+      +. Bench_util.time_once (fun () ->
+             ignore (Manager.commit mgr txn);
+             if mode = Manager.Deferred && idx mod refresh_every = 0 then
+               ignore (Manager.refresh mgr "v"))
+  done;
   ignore (Manager.refresh mgr "v");
   assert (Manager.consistent mgr "v");
-  elapsed
+  !elapsed
+
+(* Median and range of [repeats] fresh streams. *)
+let measure ~mode ~refresh_every =
+  let times =
+    Array.init repeats (fun _ -> run_stream ~mode ~refresh_every 1000)
+  in
+  Array.sort Float.compare times;
+  (times.(repeats / 2), times.(0), times.(repeats - 1))
 
 let run () =
   Bench_util.section "E10: immediate vs deferred snapshot refresh";
-  let immediate = run_stream ~mode:Ivm.Manager.Immediate ~refresh_every:1 1000 in
+  let row label (median, lo, hi) speedup =
+    [
+      label;
+      Bench_util.fmt_time median;
+      Printf.sprintf "%s - %s" (Bench_util.fmt_time lo) (Bench_util.fmt_time hi);
+      speedup;
+    ]
+  in
+  let ((immediate, _, _) as imm) =
+    measure ~mode:Manager.Immediate ~refresh_every:1
+  in
   let rows =
-    [ "immediate (every txn)"; Bench_util.fmt_time immediate; "1.0x" ]
+    row "immediate (every txn)" imm "1.0x"
     :: List.map
          (fun period ->
-           let t =
-             run_stream ~mode:Ivm.Manager.Deferred ~refresh_every:period 1000
+           let ((t, _, _) as m) =
+             measure ~mode:Manager.Deferred ~refresh_every:period
            in
-           [
-             Printf.sprintf "deferred, refresh every %d" period;
-             Bench_util.fmt_time t;
-             Bench_util.fmt_speedup (immediate /. t);
-           ])
+           row
+             (Printf.sprintf "deferred, refresh every %d" period)
+             m
+             (Bench_util.fmt_speedup (immediate /. t)))
          [ 1; 10; 100 ]
   in
   Bench_util.print_table
-    ~header:[ "strategy"; "100-txn stream"; "vs immediate" ]
+    ~header:
+      [
+        "strategy";
+        Printf.sprintf "100-txn stream (median of %d)" repeats;
+        "range";
+        "vs immediate";
+      ]
     rows

@@ -464,17 +464,31 @@ let run_crash_fuzz ~seed ~streams ~transactions ~domains ~fault_rate
     Oracle.Crash.fuzz ~progress ~fault_rate ~aggregates ~dir ~seed ~streams
       ~transactions ~domains ()
   in
-  match outcome.Oracle.Crash.failure with
-  | None ->
+  let kills =
+    String.concat ", "
+      (List.map
+         (fun (point, n) -> Printf.sprintf "%s %d" point n)
+         outcome.Oracle.Crash.kills)
+  in
+  match (outcome.Oracle.Crash.failure, Oracle.Crash.unkilled outcome) with
+  | None, [] ->
     Printf.printf
       "crash fuzz passed: %d streams x %d transactions at domains=%d, seed \
-       %d; %d kills (%d with torn tails), %d WAL records replayed; every \
-       recovery was bit-identical to the durable frontier and idempotent\n"
+       %d; %d kills (%d with torn tails), %d WAL records replayed, %d \
+       deferred refreshes; every recovery was bit-identical to the durable \
+       frontier and idempotent\nkills per point: %s\n"
       outcome.Oracle.Crash.streams_run transactions domains seed
       outcome.Oracle.Crash.crashes outcome.Oracle.Crash.torn
-      outcome.Oracle.Crash.replayed;
+      outcome.Oracle.Crash.replayed outcome.Oracle.Crash.refreshes kills;
     0
-  | Some (stream, divergence) ->
+  | None, unkilled ->
+    Printf.printf
+      "crash fuzz FAILED: %d streams never killed at %s\nkills per point: %s\n"
+      outcome.Oracle.Crash.streams_run
+      (String.concat ", " unkilled)
+      kills;
+    1
+  | Some (stream, divergence), _ ->
     Printf.printf "crash fuzz FAILED on stream %d of %d (seed %d):\n\n"
       outcome.Oracle.Crash.streams_run streams stream.Oracle.Stream.seed;
     Format.printf "%a@." Oracle.Harness.pp_divergence divergence;
@@ -515,20 +529,21 @@ let run_fuzz seed streams transactions domains fault_rate aggregates crash
       let s = outcome.Oracle.Fuzz.stats in
       Printf.printf
         "fault injection (rate %g): %d commits, %d clean aborts, %d \
-         quarantines, %d heals, %d faults injected\n"
+         quarantines, %d heals, %d faults injected, %d escaped a refresh\n"
         fault_rate s.Oracle.Harness.committed s.Oracle.Harness.aborted
         s.Oracle.Harness.quarantined s.Oracle.Harness.healed
-        s.Oracle.Harness.faults
+        s.Oracle.Harness.faults s.Oracle.Harness.refresh_faults
     end
   in
   match outcome.Oracle.Fuzz.failure with
   | None ->
     Printf.printf
-      "fuzz passed: %d streams x %d transactions (%d committed) at \
-       domains=%d, seed %d; engine always agreed with the naive recompute \
-       oracle\n"
+      "fuzz passed: %d streams x %d transactions (%d committed, %d deferred \
+       refreshes) at domains=%d, seed %d; engine always agreed with the \
+       naive recompute oracle\n"
       outcome.Oracle.Fuzz.streams_run transactions
-      outcome.Oracle.Fuzz.transactions_run domains seed;
+      outcome.Oracle.Fuzz.transactions_run
+      outcome.Oracle.Fuzz.stats.Oracle.Harness.refreshed domains seed;
     print_fault_summary ();
     0
   | Some counterexample ->
@@ -1108,14 +1123,18 @@ let fuzz_cmd =
           ~doc:
             "Crash-recovery lockstep gate: each stream runs against a \
              write-ahead-logged manager with fault injection armed over the \
-             WAL kill points (append, fsync, apply, checkpoint, truncate).  \
-             An injected kill simulates process death — optionally tearing \
+             maintenance points, and dies once at one WAL kill point (apply, \
+             append, fsync, checkpoint, checkpoint seal, truncate) chosen \
+             from its seed, in a commit or a deferred refresh; a run of 12 or \
+             more streams must kill at every point, and prints the kills per \
+             point.  A kill simulates process death — optionally tearing \
              the last WAL record at a seed-chosen byte offset — after which \
              the harness recovers into a fresh manager and requires the \
              recovered state to be bit-identical to the durable frontier \
              (quarantined and disabled views included), recovery to be \
              idempotent, and the continued stream to agree with the oracle.  \
-             Defaults $(b,--fault-rate) to 0.05 when unset.")
+             $(b,--fault-rate) (0.05 when unset) applies to the maintenance \
+             points.")
   in
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No progress output.")

@@ -23,24 +23,6 @@ let copy d =
 let reschema d s =
   { inserts = Relation.reschema d.inserts s; deletes = Relation.reschema d.deletes s }
 
-let merge_into ~into d =
-  Relation.union_into ~into:into.inserts d.inserts;
-  Relation.union_into ~into:into.deletes d.deletes
-
-let normalize d =
-  let out = empty (Relation.schema d.inserts) in
-  Relation.iter
-    (fun t c ->
-      let cancelled = min c (Relation.count d.deletes t) in
-      if c > cancelled then Relation.update out.inserts t (c - cancelled))
-    d.inserts;
-  Relation.iter
-    (fun t c ->
-      let cancelled = min c (Relation.count d.inserts t) in
-      if c > cancelled then Relation.update out.deletes t (c - cancelled))
-    d.deletes;
-  out
-
 let between ~before ~after =
   let out = empty (Relation.schema after) in
   Relation.iter
@@ -59,27 +41,20 @@ let apply d r =
   Relation.iter (fun t c -> Relation.update r t c) d.inserts;
   Relation.iter (fun t c -> Relation.update r t (-c)) d.deletes
 
+(* Move [c] copies of [t] into [part], cancelling them first against
+   the opposite part [other]. *)
+let bank_tuple ~part ~other t c =
+  let cancelled = min c (Relation.count other t) in
+  Relation.update other t (-cancelled);
+  Relation.update part t (c - cancelled)
+
+let bank ~into d =
+  Relation.iter (bank_tuple ~part:into.inserts ~other:into.deletes) d.inserts;
+  Relation.iter (bank_tuple ~part:into.deletes ~other:into.inserts) d.deletes
+
 let compose ~first ~second =
-  let schema = Relation.schema first.inserts in
-  let out = empty schema in
-  (* inserts = (i1 - d2) U (i2 - d1) *)
-  Relation.iter
-    (fun t _ ->
-      if not (Relation.mem second.deletes t) then Relation.add out.inserts t)
-    first.inserts;
-  Relation.iter
-    (fun t _ ->
-      if not (Relation.mem first.deletes t) then Relation.add out.inserts t)
-    second.inserts;
-  (* deletes = (d1 - i2) U (d2 - i1) *)
-  Relation.iter
-    (fun t _ ->
-      if not (Relation.mem second.inserts t) then Relation.add out.deletes t)
-    first.deletes;
-  Relation.iter
-    (fun t _ ->
-      if not (Relation.mem first.inserts t) then Relation.add out.deletes t)
-    second.deletes;
+  let out = copy first in
+  bank ~into:out second;
   out
 
 let pp ppf d =

@@ -2,8 +2,10 @@
 
     A delta pairs the set of inserted tuples with the set of deleted tuples
     (Section 3: [T(r) = r U i_r - d_r] with [r], [i_r], [d_r] mutually
-    disjoint).  Deltas of base relations have unit counts; deltas of derived
-    relations are counted, matching the redefined operators of Section 5.2. *)
+    disjoint).  Deltas of derived relations are counted, matching the
+    redefined operators of Section 5.2; so are deltas of base relations,
+    whose counts are one unless the relation holds a tuple more than once
+    (a delete then takes one copy). *)
 
 open Relalg
 
@@ -26,13 +28,6 @@ val copy : t -> t
 (** [reschema d s] renames both parts in O(1) (see {!Relation.reschema}). *)
 val reschema : t -> Schema.t -> t
 
-(** [merge_into ~into d] accumulates [d]'s parts into [into]. *)
-val merge_into : into:t -> t -> unit
-
-(** [normalize d] cancels tuples present in both parts (counter-wise):
-    applying the result to a view has the same effect. *)
-val normalize : t -> t
-
 (** [between ~before ~after] is the counted delta that takes [before] to
     [after]: applying it to [before] yields [after].  Used to extract
     the view delta out of a recomputation so dependent views can be
@@ -45,10 +40,19 @@ val between : before:Relation.t -> after:Relation.t -> t
     inconsistency for view maintenance. *)
 val apply : t -> Relation.t -> unit
 
-(** [compose ~first ~second] is the net effect of running [first] then
-    [second] over the same relation, for set-semantics base deltas (all
-    counts one):
-    inserts = (i1 - d2) U (i2 - d1), deletes = (d1 - i2) U (d2 - i1). *)
+(** [bank ~into d] adds [d] to [into] in place, in O(|d|): each of
+    [d]'s insert counts first cancels against [into]'s delete count of
+    the same tuple and lands in [into]'s inserts only beyond it, and
+    deletes likewise.  Applying [into] afterwards has the effect of
+    applying the old [into] and then [d], and a tuple that [into] held in
+    at most one part stays in at most one.  This is how a view banks the
+    net effects of a run of transactions it has not yet seen ([d] and
+    [into] must not share storage). *)
+val bank : into:t -> t -> unit
+
+(** [compose ~first ~second] is a fresh [first] with [second] banked into
+    it ({!bank}): the net effect of running [first] then [second].
+    Neither argument changes. *)
 val compose : first:t -> second:t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -238,11 +238,15 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
                  (shards_of (snd (List.nth sources lead))))
            tasks
        with e -> fail (e, Printexc.get_raw_backtrace ()));
-      let shard_jobs = List.rev !shard_jobs in
-      let futures =
+      (* A failure while queueing submits nothing, so nothing is
+         awaited either. *)
+      let submitted =
         match !failure with
         | Some _ -> []
-        | None -> Exec.Pool.submit_batch pool (List.map snd shard_jobs)
+        | None ->
+          let shard_jobs = List.rev !shard_jobs in
+          List.combine (List.map fst shard_jobs)
+            (Exec.Pool.submit_batch pool (List.map snd shard_jobs))
       in
       (match !failure with
       | Some _ -> ()
@@ -266,12 +270,12 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
       (* Await every submitted future even after a failure: a shard task
          still in flight must finish before control returns to a caller
          that may mutate its operands. *)
-      List.iter2
-        (fun (part, _) future ->
+      List.iter
+        (fun (part, future) ->
           match Exec.Pool.await_result future with
           | Ok r -> if !failure = None then merge (part, r)
           | Error e -> fail e)
-        shard_jobs futures;
+        submitted;
       match !failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()

@@ -100,7 +100,9 @@ type entry = {
   parents : string list;
       (* names of earlier-defined views this one reads; [] for a view
          over base relations only *)
-  mutable pending : (string * Delta.t) list; (* relation -> composed delta *)
+  mutable pending : (string * Delta.t) list;
+      (* the bank: relation -> the net of every input not yet seen,
+         most recently banked relation first *)
   mutable stats : stats;
   mutable health : view_health;
 }
@@ -518,7 +520,8 @@ let pp_stats ppf s =
       s.predicted_recompute_cost
 
 let view_names mgr = List.map (fun e -> View.name e.view) mgr.entries
-let pending mgr name = (entry mgr name).pending
+let pending mgr name =
+  List.map (fun (r, d) -> (r, Delta.copy d)) (entry mgr name).pending
 
 (* Does this transaction's net effect touch any source of the view?  The
    advisor's prediction is only a calibration sample when there is actual
@@ -530,32 +533,6 @@ let net_touches view net =
       | Some (inserts, deletes) -> inserts <> [] || deletes <> []
       | None -> false)
     (View.spj view).Query.Spj.sources
-
-(* The relations (base relations or parent views) a view reads. *)
-let sources e =
-  List.sort_uniq String.compare
-    (List.map
-       (fun (s : Query.Spj.source) -> s.Query.Spj.relation)
-       (View.spj e.view).Query.Spj.sources)
-
-(* Accumulate a transaction's net effect into a deferred view's pending
-   deltas, composing with what is already queued. *)
-let accumulate mgr e net =
-  let relations_of_view = sources e in
-  List.iter
-    (fun (relation, (inserts, deletes)) ->
-      if List.mem relation relations_of_view then begin
-        let schema = Relation.schema (Database.find mgr.catalog relation) in
-        let incoming = Delta.of_lists schema (inserts, deletes) in
-        let composed =
-          match List.assoc_opt relation e.pending with
-          | None -> incoming
-          | Some existing -> Delta.compose ~first:existing ~second:incoming
-        in
-        e.pending <-
-          (relation, composed) :: List.remove_assoc relation e.pending
-      end)
-    net
 
 (* A logged commit carrying [Faulted] outcomes committed under the
    [Quarantine] policy: its base deltas landed and the faulted views
@@ -629,12 +606,12 @@ let record_provenance mgr ~kind ~outcome ?failing_phase ?(net = [])
       total_ns;
     }
 
-(* Differential drain of a view's composed pending deltas — the
-   snapshot-refresh core, shared by deferred [refresh] and the
-   quarantine self-heal.  The current base state S is S0 U i_N - d_N
-   relative to the view's last consistent point S0; the old parts the
-   truth table needs are r° = S0 - d_N = S - i_N, so we temporarily
-   remove the composed insertions, evaluate, and put them back.
+(* Differential drain of a view's bank — the snapshot-refresh core,
+   shared by deferred [refresh] and the quarantine self-heal.  The
+   current base state S is S0 U i_N - d_N relative to the view's last
+   consistent point S0; the old parts the truth table needs are
+   r° = S0 - d_N = S - i_N, so we temporarily remove the banked
+   insertions, evaluate, and put them back.
 
    The rewind/restore is failure-hardened: restore happens in a single
    [Fun.protect] finally, re-adds exactly the tuples that were removed
@@ -706,8 +683,6 @@ let drain_deltas mgr e ?journal pending =
         Option.iter Resilience.Journal.rollback journal;
         Printexc.raise_with_backtrace exn bt)
 
-let drain_pending mgr e = drain_deltas mgr e e.pending
-
 (* A stale view just brought to a fresh state: its bank is spent and it
    is healthy again; [kind] labels the repair metric. *)
 let revive e ~kind =
@@ -778,7 +753,7 @@ let heal_entry mgr e =
             Error (Not_found, Printexc.get_callstack 0)
           else
             Resilience.Retry.run ~label:"heal-differential"
-              Resilience.Retry.default (fun () -> drain_pending mgr e)
+              Resilience.Retry.default (fun () -> drain_deltas mgr e e.pending)
         in
         match differential with
         | Ok report -> finish report
@@ -1154,9 +1129,11 @@ let run_tasks mgr att ~phase views =
   in
   settle mgr att ~phase (List.combine tasks results)
 
-(* A dependent's input this commit: each parent's applied delta, plus
-   the base net of any base relation it also reads. *)
-let child_inputs mgr att e =
+(* A view's inputs this commit, in name order: the applied delta of
+   each parent, and the net of each base relation it reads.  These are
+   shared (every child and [att.applied] read a parent's delta), so
+   only [bank] may keep them, by banking into the view's own deltas. *)
+let inputs mgr att e =
   List.filter_map
     (fun relation ->
       match Hashtbl.find_opt att.applied relation with
@@ -1169,21 +1146,25 @@ let child_inputs mgr att e =
             let schema = Relation.schema (Database.find mgr.catalog relation) in
             Some (relation, Delta.of_lists schema (inserts, deletes))
           | Some _ | None -> None))
-    (sources e)
+    (List.sort_uniq String.compare
+       (List.map
+          (fun (s : Query.Spj.source) -> s.Query.Spj.relation)
+          (View.spj e.view).Query.Spj.sources))
 
-(* Bank a dependent's inputs for its self-heal drain: counted deltas,
-   merged as counts ([accumulate] composes set deltas instead). *)
-let bank_inputs e inputs =
+(* Bank inputs a view will not see now — a deferred view until its
+   refresh, a stale one until its self-heal — into its bank, each
+   relation's in place ([Delta.bank]), the most recently banked
+   relation first. *)
+let bank e inputs =
   List.iter
     (fun (relation, (d : Delta.t)) ->
-      let composed =
+      let into =
         match List.assoc_opt relation e.pending with
-        | None -> Delta.copy d
-        | Some existing ->
-          Delta.merge_into ~into:existing d;
-          Delta.normalize existing
+        | Some into -> into
+        | None -> Delta.empty (Relation.schema d.Delta.inserts)
       in
-      e.pending <- (relation, composed) :: List.remove_assoc relation e.pending)
+      Delta.bank ~into d;
+      e.pending <- (relation, into) :: List.remove_assoc relation e.pending)
     inputs
 
 (* Dependents stage: each view over views consumes its parents'
@@ -1210,10 +1191,10 @@ let maintain_dependents mgr att =
   List.iter
     (fun e ->
       if e.parents <> [] then begin
-        let inputs = child_inputs mgr att e in
+        let inputs = inputs mgr att e in
         match List.filter stale e.parents with
         | _ :: _ as stale_parents ->
-          bank_inputs e inputs;
+          bank e inputs;
           if e.health = Healthy then begin
             let detail =
               Printf.sprintf "%s: stale parent %s" (View.name e.view)
@@ -1242,8 +1223,7 @@ let maintain_dependents mgr att =
           (* Already stale, or quarantined just now: bank this commit's
              inputs for the self-heal drain instead of maintaining on top
              of a rolled-back state. *)
-          if e.health <> Healthy || quarantined_now att e then
-            bank_inputs e inputs
+          if e.health <> Healthy || quarantined_now att e then bank e inputs
       end)
     mgr.entries
 
@@ -1268,7 +1248,7 @@ let finish mgr att =
     (fun e ->
       if e.parents = [] then
         match (e.mode, e.health) with
-        | Deferred, _ | Immediate, Quarantined _ -> accumulate mgr e att.net
+        | Deferred, _ | Immediate, Quarantined _ -> bank e (inputs mgr att e)
         | Immediate, (Healthy | Disabled _) -> ())
     mgr.entries;
   let journal_bytes = Option.map Resilience.Journal.bytes att.journal in
@@ -1348,6 +1328,7 @@ let refresh mgr name =
   match e.mode with
   | Immediate -> None
   | Deferred ->
+    require_recovered ~op:"Manager.refresh" mgr;
     if e.pending = [] then
       Some
         (Maintenance.empty_report ~view_name:name
@@ -1357,7 +1338,6 @@ let refresh mgr name =
         ~args:(fun () -> [ ("view", Obs.Json.Str name) ])
         (fun () ->
           let t_start = Obs.Clock.now_ns () in
-          require_recovered ~op:"Manager.refresh" mgr;
           ensure_baseline mgr;
           let net_sizes =
             List.map
@@ -1367,7 +1347,7 @@ let refresh mgr name =
                     Relation.total d.Delta.deletes ) ))
               e.pending
           in
-          let report = drain_pending mgr e in
+          let report = drain_deltas mgr e e.pending in
           e.pending <- [];
           e.stats <- add_report e.stats report;
           wal_append mgr

@@ -4,9 +4,12 @@
     Two refresh modes, following the paper's Section 6 discussion:
     - [Immediate]: the view is updated as the last operation of every
       committing transaction (the paper's main setting);
-    - [Deferred]: update sets accumulate (composed per relation) and are
-      applied on demand — the "snapshot refresh" environment of Adiba and
-      Lindsay [AL80] that the conclusion extends the approach to. *)
+    - [Deferred]: each commit's net effect on the view's relations is
+      banked, netted per relation in place, and the bank is applied on
+      demand ({!refresh}) — the "snapshot refresh" environment of Adiba
+      and Lindsay [AL80] that the conclusion extends the approach to.
+      Only a view over base relations that no view reads may be
+      deferred. *)
 
 open Relalg
 
@@ -81,8 +84,11 @@ val view : t -> string -> View.t
 
 val view_names : t -> string list
 
-(** Registered pending update sets of a deferred view (relation name and
-    composed delta), empty for immediate views. *)
+(** The view's bank: for each relation, the net of every input the
+    view has not yet seen — banked by a deferred view until its
+    {!refresh} and by a quarantined view until its heal — most recently
+    banked relation first; empty for a healthy immediate view.  Each
+    delta is a copy, which later commits leave alone. *)
 val pending : t -> string -> (string * Delta.t) list
 
 (** [create_index mgr ~relation ~attrs] builds (and keeps maintained) a
@@ -111,8 +117,8 @@ type view_health =
   | Quarantined of quarantine
       (** Maintenance failed under the [Quarantine] policy: the
           materialization was rolled back to its last consistent state
-          and is now stale; net effects accumulate until the view
-          self-heals on its next access or commit. *)
+          and is now stale; net effects are banked ({!pending}) until
+          the view self-heals on its next access or commit. *)
   | Disabled of quarantine
       (** Self-heal exhausted its rounds; only {!repair} revives the
           view. *)
@@ -158,8 +164,8 @@ val heal : t -> string -> bool
 val repair : t -> string -> bool
 
 (** [commit mgr txn] nets the transaction, updates the base relations,
-    maintains the immediate views the transaction touches and
-    accumulates deltas for deferred views.  Views the net effect does
+    maintains the immediate views the transaction touches and banks the
+    net for deferred and quarantined views.  Views the net effect does
     not touch skip maintenance entirely (no report, no stats).
 
     Failure semantics by policy: under [Abort] any maintenance failure
@@ -174,7 +180,11 @@ val repair : t -> string -> bool
 val commit : t -> Transaction.t -> Maintenance.report list
 
 (** [refresh mgr name] brings a deferred view up to date differentially
-    from its composed pending deltas.  No-op for immediate views. *)
+    from its bank ({!pending}) and empties the bank; [None] for
+    immediate views.  A failure leaves the bank as it was and, unless
+    the policy is [Unprotected], the view too.
+    @raise Failure when the manager must {!recover} first, empty bank
+    or not. *)
 val refresh : t -> string -> Maintenance.report option
 
 val refresh_all : t -> Maintenance.report list
@@ -211,7 +221,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** Recompute-from-scratch comparison, counters included.  A
     quarantined view gets a self-heal round first; it (or a disabled
-    view) reports [false] if still unhealthy afterwards. *)
+    view) reports [false] if still unhealthy afterwards.  A deferred
+    view is refreshed first.
+    @raise Failure as {!refresh} does, for a deferred view. *)
 val consistent : t -> string -> bool
 
 val all_consistent : t -> bool

@@ -24,6 +24,25 @@ let wal_points =
     "wal-truncate";
   ]
 
+(* The kill schedule.  Stream [seed] dies at one WAL point, so every
+   2 * |wal_points| consecutive seeds kill at each point at least once;
+   [seed / n] shifts the assignment every [n] seeds, so a point is not
+   always drawn with the same fsync, checkpoint and failure policy
+   (those follow [seed mod 2] and [seed mod 3]). *)
+let kill_point seed =
+  let n = List.length wal_points in
+  List.nth wal_points ((seed + (seed / n)) mod n)
+
+(* A lower bound on how often a stream of [transactions] commits passes
+   [point]: each commit passes [wal-apply] and logs one record; the
+   checkpoint points run for the baseline and then every
+   [checkpoint_every] records. *)
+let passes ~transactions ~checkpoint_every point =
+  match point with
+  | "wal-checkpoint" | "wal-checkpoint-seal" | "wal-truncate" ->
+    1 + if checkpoint_every > 0 then transactions / checkpoint_every else 0
+  | _ -> max 1 transactions
+
 type report = {
   crashed : bool;
   crash_point : string option;
@@ -31,6 +50,7 @@ type report = {
   torn_bytes : int;  (** bytes cut off the last record, 0 if whole *)
   records_replayed : int;
   commits_before_crash : int;
+  refreshes : int;
 }
 
 let copy_file src dst =
@@ -126,42 +146,73 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
     Hashtbl.replace snaps (Manager.wal_lsn mgr) (Manager.capture_state mgr)
   in
   snap ();
-  Fault.configure ~seed:(s.Stream.seed lxor 0x5EED) ~rate:fault_rate ();
+  let held = Hashtbl.create 4 in
+  Harness.hold reference held s;
+  let stats = Harness.fresh_stats () in
+  (* Maintenance points fire at [fault_rate]; of the WAL points only the
+     stream's [kill_point] fires, once, at a pass it is sure to make. *)
+  let point = kill_point s.Stream.seed in
+  let pass =
+    let n =
+      passes
+        ~transactions:(List.length s.Stream.transactions)
+        ~checkpoint_every point
+    in
+    int_of_float (h "kill-at" 0 *. float_of_int n)
+  in
+  Fault.configure ~seed:(s.Stream.seed lxor 0x5EED) ~rate:fault_rate
+    ~at:(List.map (fun p -> (p, if p = point then [ pass ] else [])) wal_points)
+    ();
   let crash = ref None in
   let commits = ref 0 in
   let continue_from = ref 0 in
+  let compare index =
+    Harness.compare_states ~skip:(Harness.unhealthy mgr) ~held reference mgr db
+      s index
+  in
   (try
      List.iteri
        (fun index raw ->
-         match !crash with
-         | Some _ -> ()
-         | None -> (
+         if Option.is_none !crash then begin
            let txn = Stream.filter_valid db raw in
            let seq_before = Manager.commit_seq mgr in
-           match Manager.commit mgr txn with
-           | (_ : Ivm.Maintenance.report list) ->
-             incr commits;
-             Reference.step reference txn;
-             Harness.compare_states ~skip:(Harness.unhealthy mgr) reference mgr
-               db s index;
-             snap ()
-           | exception Manager.Commit_failed _ ->
-             (* Clean abort: the reference does not step, but the abort
-                still consumed a sequence number and logged a record. *)
-             Harness.compare_states ~skip:(Harness.unhealthy mgr) reference mgr
-               db s index;
-             snap ()
+           let step () =
+             (match Manager.commit mgr txn with
+             | (_ : Ivm.Maintenance.report list) ->
+               incr commits;
+               Reference.step reference txn
+             | exception Manager.Commit_failed _ ->
+               (* Clean abort: the reference does not step, but the
+                  abort still consumed a sequence number and logged a
+                  record. *)
+               ());
+             compare index;
+             snap ();
+             if Harness.refresh_due s index then begin
+               (* Each refresh logs a record: snapshot its frontier. *)
+               Harness.refresh_deferred ~stats ~index ~on_refresh:snap
+                 reference mgr held s ~tolerate:(function
+                 | Fault.Injected p -> not (List.mem p wal_points)
+                 | _ -> false);
+               compare index
+             end
+           in
+           match step () with
+           | () -> ()
            | exception Fault.Injected p when List.mem p wal_points ->
-             (* Simulated process death.  If the dying operation already
-                wrote its record, the in-memory state (fully committed
-                by then — appends happen last) is what recovery must
-                reach; snapshot it under that LSN. *)
+             (* Simulated process death, in a commit or a refresh.  If
+                the dying operation already wrote its record, the
+                in-memory state (complete by then — appends happen
+                last) is what recovery must reach; snapshot it under
+                that LSN. *)
              Fault.disable ();
              if not (Hashtbl.mem snaps (Manager.wal_lsn mgr)) then snap ();
              crash := Some (p, index, seq_before)
+           | exception (Harness.Diverged _ as d) -> raise d
            | exception exn ->
              diverged ~index ~view:"" Harness.Materialization
-               ("engine raised: " ^ Printexc.to_string exn)))
+               ("engine raised: " ^ Printexc.to_string exn)
+         end)
        s.Stream.transactions;
      Fault.disable ()
    with exn ->
@@ -241,28 +292,42 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
     (fun (spec : Stream.view_spec) ->
       Reference.define reference2 ~name:spec.Stream.view_name spec.Stream.expr)
     s.Stream.views;
+  (* A recovered deferred view holds what it held at the durable
+     frontier, which the state check above has already verified. *)
+  Hashtbl.reset held;
+  List.iter
+    (fun name ->
+      Hashtbl.replace held name
+        (Relalg.Relation.copy (Ivm.View.contents (Manager.view mgr2 name))))
+    (Harness.deferred s);
   List.iteri
     (fun index raw ->
       if index >= !continue_from && Option.is_some !crash then begin
         let txn = Stream.filter_valid db2 raw in
-        match Manager.commit mgr2 txn with
-        | (_ : Ivm.Maintenance.report list) ->
-          Reference.step reference2 txn;
-          Harness.compare_states ~skip:(Harness.unhealthy mgr2) reference2 mgr2
-            db2 s index
+        (match Manager.commit mgr2 txn with
+        | (_ : Ivm.Maintenance.report list) -> Reference.step reference2 txn
         | exception exn ->
           diverged ~index ~view:"" Harness.Materialization
-            ("post-recovery commit raised: " ^ Printexc.to_string exn)
+            ("post-recovery commit raised: " ^ Printexc.to_string exn));
+        Harness.compare_states ~skip:(Harness.unhealthy mgr2) ~held reference2
+          mgr2 db2 s index;
+        if Harness.refresh_due s index then begin
+          Harness.refresh_deferred ~stats ~index reference2 mgr2 held s;
+          Harness.compare_states ~skip:(Harness.unhealthy mgr2) ~held
+            reference2 mgr2 db2 s index
+        end
       end)
     s.Stream.transactions;
-  (* End of stream: heal or repair what the faults left behind, then the
-     whole state must agree with the oracle. *)
+  (* End of stream: heal or repair what the faults left behind and
+     refresh every deferred view, then the whole state must agree with
+     the oracle. *)
   let last = max 0 (List.length s.Stream.transactions - 1) in
   List.iter
     (fun name ->
       if not (Manager.heal mgr2 name) then ignore (Manager.repair mgr2 name))
     (Harness.unhealthy mgr2);
   Reference.refresh reference2;
+  Harness.refresh_deferred ~stats ~index:last reference2 mgr2 held s;
   Harness.compare_states reference2 mgr2 db2 s last;
   if not (Manager.all_consistent mgr2) then
     diverged ~index:last ~view:"" Harness.Health
@@ -276,6 +341,7 @@ let run ?(fault_rate = 0.05) ~dir (s : Stream.t) =
     torn_bytes;
     records_replayed = info.Manager.records_replayed;
     commits_before_crash = !commits;
+    refreshes = stats.Harness.refreshed;
   }
 
 type outcome = {
@@ -283,14 +349,15 @@ type outcome = {
   crashes : int;
   torn : int;  (** crashes with a torn-tail injection *)
   replayed : int;  (** WAL records replayed across all recoveries *)
+  refreshes : int;
+  kills : (string * int) list;
   failure : (Stream.t * Harness.divergence) option;
 }
 
 let fuzz ?(progress = fun _ -> ()) ?(fault_rate = 0.05) ?(aggregates = true)
     ~dir ~seed ~streams ~transactions ~domains () =
-  let rec loop k crashes torn replayed =
-    if k >= streams then
-      { streams_run = streams; crashes; torn; replayed; failure = None }
+  let rec loop k (o : outcome) =
+    if k >= streams then o
     else begin
       let stream =
         Stream.generate ~domains ~aggregates ~seed:(seed + k) ~transactions ()
@@ -300,11 +367,33 @@ let fuzz ?(progress = fun _ -> ()) ?(fault_rate = 0.05) ?(aggregates = true)
       | r ->
         progress (k + 1);
         loop (k + 1)
-          (crashes + if r.crashed then 1 else 0)
-          (torn + if r.torn_bytes > 0 then 1 else 0)
-          (replayed + r.records_replayed)
+          {
+            o with
+            streams_run = k + 1;
+            crashes = (o.crashes + if r.crashed then 1 else 0);
+            torn = (o.torn + if r.torn_bytes > 0 then 1 else 0);
+            replayed = o.replayed + r.records_replayed;
+            refreshes = o.refreshes + r.refreshes;
+            kills =
+              List.map
+                (fun (p, n) -> (p, if r.crash_point = Some p then n + 1 else n))
+                o.kills;
+          }
       | exception Harness.Diverged d ->
-        { streams_run = k + 1; crashes; torn; replayed; failure = Some (stream, d) }
+        { o with streams_run = k + 1; failure = Some (stream, d) }
     end
   in
-  loop 0 0 0 0
+  loop 0
+    {
+      streams_run = 0;
+      crashes = 0;
+      torn = 0;
+      replayed = 0;
+      refreshes = 0;
+      kills = List.map (fun p -> (p, 0)) wal_points;
+      failure = None;
+    }
+
+let unkilled o =
+  if o.streams_run < 2 * List.length wal_points then []
+  else List.filter_map (fun (p, n) -> if n = 0 then Some p else None) o.kills

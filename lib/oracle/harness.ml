@@ -110,9 +110,14 @@ let check_screening reference mgr (s : Stream.t) index txn =
       end)
     s.Stream.views
 
+type held = (string, Relation.t) Hashtbl.t
+
 (* [skip] names views whose materialization is knowingly stale
-   (quarantined): their comparison is deferred until they heal. *)
-let compare_states ?(skip = []) reference mgr db (s : Stream.t) index =
+   (quarantined): their comparison is deferred until they heal.  [held]
+   maps deferred views to what they must hold: the reference's contents
+   at their last refresh. *)
+let compare_states ?(skip = []) ?(held = Hashtbl.create 0) reference mgr db
+    (s : Stream.t) index =
   let ref_db = Reference.database reference in
   List.iter
     (fun name ->
@@ -132,7 +137,11 @@ let compare_states ?(skip = []) reference mgr db (s : Stream.t) index =
     (fun (spec : Stream.view_spec) ->
       if not (List.mem spec.Stream.view_name skip) then begin
         let engine = View.contents (Manager.view mgr spec.Stream.view_name) in
-        let oracle = Reference.contents reference spec.Stream.view_name in
+        let oracle =
+          match Hashtbl.find_opt held spec.Stream.view_name with
+          | Some contents -> contents
+          | None -> Reference.contents reference spec.Stream.view_name
+        in
         if not (Relation.equal engine oracle) then
           raise
             (Diverged
@@ -153,10 +162,20 @@ type run_stats = {
   mutable quarantined : int;
   mutable healed : int;
   mutable faults : int;
+  mutable refreshed : int;
+  mutable refresh_faults : int;
 }
 
 let fresh_stats () =
-  { committed = 0; aborted = 0; quarantined = 0; healed = 0; faults = 0 }
+  {
+    committed = 0;
+    aborted = 0;
+    quarantined = 0;
+    healed = 0;
+    faults = 0;
+    refreshed = 0;
+    refresh_faults = 0;
+  }
 
 let unhealthy mgr =
   List.filter_map
@@ -171,12 +190,74 @@ let install mgr (s : Stream.t) =
     (fun (spec : Stream.view_spec) ->
       ignore
         (Manager.define_view mgr ~name:spec.Stream.view_name ~force:true
-           ~options:spec.Stream.options ~keys:spec.Stream.keys
-           spec.Stream.expr))
+           ~mode:spec.Stream.mode ~options:spec.Stream.options
+           ~keys:spec.Stream.keys spec.Stream.expr))
     s.Stream.views;
   List.iter
     (fun (relation, attr) -> Manager.create_index mgr ~relation ~attrs:[ attr ])
     s.Stream.indexes
+
+let deferred (s : Stream.t) =
+  List.filter_map
+    (fun (spec : Stream.view_spec) ->
+      match spec.Stream.mode with
+      | Manager.Deferred -> Some spec.Stream.view_name
+      | Manager.Immediate -> None)
+    s.Stream.views
+
+(* Deferred views refresh after every [k]-th transaction, [k] in 2..5
+   hashed from the seed alone, so drawing it changes nothing else. *)
+let refresh_due (s : Stream.t) index =
+  let u = Resilience.Fault.hash_unit ~seed:s.Stream.seed "refresh" 0 in
+  let k = 2 + int_of_float (u *. 4.0) in
+  (index + 1) mod k = 0
+
+let hold reference held (s : Stream.t) =
+  List.iter
+    (fun name ->
+      Hashtbl.replace held name
+        (Relation.copy (Reference.contents reference name)))
+    (deferred s)
+
+let same_bank a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (r, (d : Ivm.Delta.t)) (r', (d' : Ivm.Delta.t)) ->
+         String.equal r r'
+         && Relation.equal d.Ivm.Delta.inserts d'.Ivm.Delta.inserts
+         && Relation.equal d.Ivm.Delta.deletes d'.Ivm.Delta.deletes)
+       a b
+
+let refresh_deferred ?(tolerate = fun _ -> false) ?(on_refresh = ignore) ~stats
+    ~index reference mgr held (s : Stream.t) =
+  List.iter
+    (fun name ->
+      let diverged detail =
+        raise
+          (Diverged
+             {
+               transaction_index = index;
+               view = name;
+               kind = Materialization;
+               detail;
+             })
+      in
+      let bank = Manager.pending mgr name in
+      match Manager.refresh mgr name with
+      | (_ : Ivm.Maintenance.report option) ->
+        stats.refreshed <- stats.refreshed + 1;
+        Hashtbl.replace held name
+          (Relation.copy (Reference.contents reference name));
+        if Manager.pending mgr name <> [] then
+          diverged "refresh left deltas banked";
+        on_refresh ()
+      | exception exn when tolerate exn ->
+        stats.refresh_faults <- stats.refresh_faults + 1;
+        if not (same_bank bank (Manager.pending mgr name)) then
+          diverged
+            ("a fault escaping refresh changed the banked deltas: "
+            ^ Printexc.to_string exn))
+    (deferred s)
 
 (* The self-heal ladder's explicit form: heal rounds while the view stays
    quarantined, as many as the engine grants before it disables one.  A
@@ -193,6 +274,16 @@ let heal_within_ladder mgr name =
   in
   go Resilience.Retry.default_schedule.Resilience.Retry.rounds
 
+let engine_raised index exn =
+  raise
+    (Diverged
+       {
+         transaction_index = index;
+         view = "";
+         kind = Materialization;
+         detail = "engine raised: " ^ Printexc.to_string exn;
+       })
+
 let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
     ?(policy = Resilience.Policy.Abort) ?stats (s : Stream.t) =
   let stats = Option.value stats ~default:(fresh_stats ()) in
@@ -204,6 +295,8 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
     (fun (spec : Stream.view_spec) ->
       Reference.define reference ~name:spec.Stream.view_name spec.Stream.expr)
     s.Stream.views;
+  let held = Hashtbl.create 4 in
+  hold reference held s;
   (* Faults activate only after setup, and deterministically per stream:
      the same stream replays the same fault sequence (at domains = 1;
      parallel interleaving may permute per-point occurrence numbering). *)
@@ -222,7 +315,7 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
         let txn = Stream.filter_valid db raw in
         check_screening reference mgr s index txn;
         let stale_before = unhealthy mgr in
-        match Manager.commit mgr txn with
+        (match Manager.commit mgr txn with
         | (_ : Ivm.Maintenance.report list) ->
           stats.committed <- stats.committed + 1;
           let stale = unhealthy mgr in
@@ -240,7 +333,7 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
              agree (quarantined ones are stale by contract — they are
              checked after their heal). *)
           Reference.step reference txn;
-          compare_states ~skip:stale reference mgr db s index
+          compare_states ~skip:stale ~held reference mgr db s index
         | exception Manager.Commit_failed _ when fault_rate > 0.0 ->
           (* Clean abort: the reference does not step, and the engine
              must be bit-identical to the oracle's pre-commit deep
@@ -248,16 +341,21 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
              Without injected faults an abort is an engine bug and falls
              through to the divergence branch below. *)
           stats.aborted <- stats.aborted + 1;
-          compare_states ~skip:(unhealthy mgr) reference mgr db s index
-        | exception exn ->
-          raise
-            (Diverged
-               {
-                 transaction_index = index;
-                 view = "";
-                 kind = Materialization;
-                 detail = "engine raised: " ^ Printexc.to_string exn;
-               }))
+          compare_states ~skip:(unhealthy mgr) ~held reference mgr db s index
+        | exception exn -> engine_raised index exn);
+        (* A refreshed view must hold the reference's contents; one a
+           fault stopped must hold what it held, with the same bank. *)
+        if refresh_due s index then begin
+          (try
+             refresh_deferred ~stats ~index reference mgr held s
+               ~tolerate:(function
+                 | Resilience.Fault.Injected _ -> fault_rate > 0.0
+                 | _ -> false)
+           with
+          | Diverged _ as d -> raise d
+          | exn -> engine_raised index exn);
+          compare_states ~skip:(unhealthy mgr) ~held reference mgr db s index
+        end)
       s.Stream.transactions;
     let last = List.length s.Stream.transactions - 1 in
     (* End of stream: every quarantined view must self-heal (faults are
@@ -280,6 +378,10 @@ let run ?(corrupt = fun _ _ -> ()) ?(fault_rate = 0.0)
              detail = "view failed to self-heal by end of stream";
            }));
     stats.healed <- stats.healed + List.length stale_at_end;
+    (* Faults off: every deferred view catches up before the full
+       comparison. *)
+    Resilience.Fault.disable ();
+    refresh_deferred ~stats ~index:last reference mgr held s;
     compare_states reference mgr db s last;
     if not (Manager.all_consistent mgr) then
       raise

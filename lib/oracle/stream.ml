@@ -9,6 +9,7 @@ type view_spec = {
   expr : Query.Expr.t;
   options : Maintenance.options;
   keys : Query.Keys.t;
+  mode : Ivm.Manager.mode;
 }
 
 type t = {
@@ -211,11 +212,21 @@ let tower_child rng ~parent ~schema =
             [ agg (Query.Aggregate.Max a) ("max_" ^ a) ]
             (base parent))))
 
+(* The manager defers only a view over base relations ([base]) that no
+   view reads ([feeds]: every name some view of the stream reads). *)
+let deferrable ~base ~feeds v =
+  List.for_all (fun n -> List.mem n base) (Query.Expr.base_names v.expr)
+  && not (List.mem v.view_name feeds)
+
+let feeds views = List.concat_map (fun v -> Query.Expr.base_names v.expr) views
+
 (* Shrinking can drop a parent out from under its children; candidates
    that orphan (or self-reference, or redefine) a view are not
-   replayable and must be rejected before they reach the engine. *)
+   replayable and must be rejected before they reach the engine; so is
+   a deferred view the manager would refuse. *)
 let well_formed (s : t) =
   let base = List.map (fun (name, _, _, _) -> name) s.relations in
+  let feeds = feeds s.views in
   let rec go defined = function
     | [] -> true
     | v :: rest ->
@@ -223,6 +234,7 @@ let well_formed (s : t) =
       && List.for_all
            (fun n -> List.mem n base || List.mem n defined)
            (Query.Expr.base_names v.expr)
+      && (v.mode = Ivm.Manager.Immediate || deferrable ~base ~feeds v)
       && go (v.view_name :: defined) rest
   in
   go [] s.views
@@ -292,6 +304,7 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
           expr = view_templates.(template_order.(k));
           options = random_options rng;
           keys = stream_keys;
+          mode = Ivm.Manager.Immediate;
         })
   in
   (* Scratch state the transactions are generated against: the stream must
@@ -330,6 +343,7 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
                                        (Array.length aggregate_templates));
               options = random_options rng;
               keys = stream_keys;
+              mode = Ivm.Manager.Immediate;
             })
       in
       let define_spec v = View.define ~name:v.view_name ~db:scratch v.expr in
@@ -362,6 +376,7 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
             expr = tower_child rng ~parent:pname ~schema:pschema;
             options = random_options rng;
             keys = stream_keys;
+            mode = Ivm.Manager.Immediate;
           }
         in
         let c = define_spec spec in
@@ -425,6 +440,16 @@ let generate ?(domains = 1) ?(aggregates = false) ~seed ~transactions () =
   in
   (* Drawn last, so the rest of the stream is the same with or without. *)
   let indexes = List.filter (fun _ -> Rng.chance rng 0.5) join_keys in
+  (* Refresh modes come after the indexes, for the same reason. *)
+  let views =
+    let feeds = feeds views in
+    List.map
+      (fun v ->
+        if deferrable ~base:relation_names ~feeds v && Rng.chance rng 0.25 then
+          { v with mode = Ivm.Manager.Deferred }
+        else v)
+      views
+  in
   { seed; domains; relations; views; indexes; transactions = txns }
 
 (* ------------------------------------------------------------------ *)
@@ -479,8 +504,11 @@ let pp ppf s =
     s.relations;
   List.iter
     (fun v ->
-      Format.fprintf ppf "view %s [%a]:@,  %a@," v.view_name pp_options
-        v.options Query.Expr.pp v.expr)
+      Format.fprintf ppf "view %s [%s, %a]:@,  %a@," v.view_name
+        (match v.mode with
+        | Ivm.Manager.Immediate -> "immediate"
+        | Ivm.Manager.Deferred -> "deferred")
+        pp_options v.options Query.Expr.pp v.expr)
     s.views;
   List.iter
     (fun (relation, attr) -> Format.fprintf ppf "index %s.%s@," relation attr)

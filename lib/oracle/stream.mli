@@ -21,6 +21,9 @@ type view_spec = {
       (** declared candidate keys — generated streams declare each
           relation's full attribute list, which set semantics makes sound,
           so the [Self_maintain] arm gets real certificates to exercise *)
+  mode : Ivm.Manager.mode;
+      (** [Deferred] only for a view over base relations that no view
+          reads, the views the manager may defer *)
 }
 
 type t = {
@@ -45,8 +48,11 @@ val size : t -> int
     off, and a transaction stream mixing plain insert/delete batches,
     overlapping multi-relation updates, correlated deletes,
     update-as-delete+insert pairs, no-op transactions and inserts
-    provably irrelevant by Theorem 4.1.  Last, it draws a subset of the
-    join-key indexes R.B, S.B, S.C and T.C.
+    provably irrelevant by Theorem 4.1.  Then it draws a subset of the
+    join-key indexes R.B, S.B, S.C and T.C.  Last, each view over base
+    relations that no view reads is [Deferred] with probability 1/4;
+    drawing the indexes and modes last leaves the rest of the stream as
+    it would be without them.
 
     With [~aggregates:true] the scenario additionally draws 1–2 GROUP BY
     views (COUNT/SUM/AVG/MIN/MAX over the same family, grouped and
@@ -58,8 +64,9 @@ val generate :
   ?domains:int -> ?aggregates:bool -> seed:int -> transactions:int -> unit -> t
 
 (** Views reference only base relations or earlier views, each name
-    defined once.  Generated streams always satisfy this; the shrinker
-    uses it to reject candidates that would orphan a tower child. *)
+    defined once, and a deferred view neither reads a view nor is read
+    by one.  Generated streams always satisfy this; the shrinker uses it
+    to reject candidates that would orphan a tower child. *)
 val well_formed : t -> bool
 
 (** Fresh database holding the initial contents. *)

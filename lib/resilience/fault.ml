@@ -1,11 +1,16 @@
 exception Injected of string
 
-type config = { seed : int; rate : float; only : string list option }
+type config = {
+  seed : int;
+  rate : float;
+  only : string list option;
+  at : (string * int list) list;
+}
 
 let enabled = Atomic.make false
 let injected_count = Atomic.make 0
 let mutex = Mutex.create ()
-let current = ref { seed = 1986; rate = 0.0; only = None }
+let current = ref { seed = 1986; rate = 0.0; only = None; at = [] }
 let counters : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
 
 (* splitmix64 finalizer: a full-avalanche mix of one 64-bit word. *)
@@ -21,13 +26,13 @@ let hash_unit ~seed name k =
   (* Top 53 bits -> [0, 1). *)
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
-let configure ?(seed = 1986) ?only ~rate () =
+let configure ?(seed = 1986) ?only ?(at = []) ~rate () =
   Mutex.protect mutex (fun () ->
       let rate = Float.max 0.0 (Float.min 1.0 rate) in
-      current := { seed; rate; only };
+      current := { seed; rate; only; at };
       Hashtbl.reset counters;
       Atomic.set injected_count 0;
-      Atomic.set enabled (rate > 0.0))
+      Atomic.set enabled (rate > 0.0 || at <> []))
 
 let disable () = Atomic.set enabled false
 let active () = Atomic.get enabled
@@ -51,7 +56,9 @@ let point name =
       | None -> true)
       &&
       let k = Atomic.fetch_and_add (counter_for name) 1 in
-      hash_unit ~seed:cfg.seed name k < cfg.rate
+      match List.assoc_opt name cfg.at with
+      | Some ks -> List.mem k ks
+      | None -> hash_unit ~seed:cfg.seed name k < cfg.rate
     in
     if fires then begin
       Atomic.incr injected_count;

@@ -18,11 +18,19 @@
 exception Injected of string
 (** Raised by {!point}; the payload is the point name. *)
 
-val configure : ?seed:int -> ?only:string list -> rate:float -> unit -> unit
+val configure :
+  ?seed:int ->
+  ?only:string list ->
+  ?at:(string * int list) list ->
+  rate:float ->
+  unit ->
+  unit
 (** Activate injection (resetting all occurrence counters).  [rate] is
-    clamped to [0, 1]; a rate of 0 deactivates.  [only] restricts
-    injection to the named points (default: all points).  Default seed
-    1986. *)
+    clamped to [0, 1]; a rate of 0 deactivates unless [at] is given.
+    [only] restricts injection to the named points (default: all
+    points).  [at] takes points out of the random draw: a point [p]
+    with [(p, ks)] in [at] raises at exactly its executions numbered in
+    [ks], counting from 0, and at no other.  Default seed 1986. *)
 
 val disable : unit -> unit
 (** Deactivate injection.  Counters are left as-is; {!configure}

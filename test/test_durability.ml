@@ -563,6 +563,57 @@ let seeded_orders_state () =
 let golden_size = 223_646
 let golden_crc = 0xAB22E255l
 
+(* The same scenario with [hot_orders] deferred and [dashboard]
+   quarantined by an injected fault, its heals failing, so both bank
+   four commits; a deleted order comes back and a new one goes again,
+   which the banks must cancel. *)
+let banked_orders_state () =
+  let sc =
+    Workload.Scenario.orders ~rng:(Workload.Rng.make 1986) ~customers:100
+      ~orders:2000
+  in
+  let db = sc.Workload.Scenario.db in
+  let mgr = Manager.create ~domains:1 ~policy:Resilience.Policy.Quarantine db in
+  let open Condition.Formula.Dsl in
+  ignore
+    (Manager.define_view mgr ~name:"dashboard"
+       Query.Expr.(
+         project [ "oid"; "cid"; "amount" ]
+           (select
+              ((v "amount" >% i 900) &&% (v "region" =% s "north"))
+              (join (base "orders") (base "customers")))));
+  ignore
+    (Manager.define_view mgr ~name:"hot_orders" ~mode:Manager.Deferred
+       Query.Expr.(
+         project [ "oid"; "amount" ]
+           (select (v "amount" >% i 950) (base "orders"))));
+  let orders = Database.find db "orders" in
+  let columns = Workload.Scenario.columns_of sc "orders" in
+  let rng = Workload.Rng.make 7 in
+  let back = fst (List.hd (Relation.sorted_elements orders)) in
+  let gone = Array.copy back in
+  gone.(0) <- Value.Int 1_000_000;
+  Fun.protect ~finally:Resilience.Fault.disable (fun () ->
+      Resilience.Fault.configure ~only:[ "task" ] ~rate:1.0 ();
+      ignore
+        (Manager.commit mgr
+           (Workload.Generate.transaction rng db "orders" ~columns ~inserts:4
+              ~deletes:4));
+      Resilience.Fault.configure ~only:[ "eval"; "recompute" ] ~rate:1.0 ();
+      List.iter
+        (fun txn -> ignore (Manager.commit mgr txn))
+        [
+          [
+            Transaction.delete "orders" back; Transaction.insert "orders" gone;
+          ];
+          [ Transaction.insert "orders" back ];
+          [ Transaction.delete "orders" gone ];
+        ]);
+  Manager.capture_state mgr
+
+let banked_size = 116_562
+let banked_crc = 0x473FF18El
+
 let ordering_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -602,6 +653,27 @@ let ordering_tests =
             Alcotest.(check int) "file size" golden_size
               (String.length content);
             Alcotest.(check int32) "CRC-32 of the file" golden_crc
+              (Codec.crc32 content ~pos:0 ~len:(String.length content))));
+    quick "a checkpoint holding banks keeps its golden CRC-32" (fun () ->
+        with_dir "banked" (fun dir ->
+            Unix.mkdir dir 0o755;
+            let path = Filename.concat dir "checkpoint.bin" in
+            let st = banked_orders_state () in
+            List.iter
+              (fun (v : State.view_state) ->
+                Alcotest.(check bool)
+                  (v.State.view ^ " banks") true (v.State.pending <> []);
+                if v.State.view = "dashboard" then
+                  match v.State.health with
+                  | State.Quarantined { heal_failures; _ } ->
+                    Alcotest.(check int) "two failed heals" 2 heal_failures
+                  | State.Healthy | State.Disabled _ ->
+                    Alcotest.fail "dashboard should be quarantined")
+              st.State.views;
+            Durability.Checkpoint.write path st;
+            let content = read_file path in
+            Alcotest.(check int) "file size" banked_size (String.length content);
+            Alcotest.(check int32) "CRC-32 of the file" banked_crc
               (Codec.crc32 content ~pos:0 ~len:(String.length content))));
   ]
 
@@ -1168,6 +1240,27 @@ let manager_tests =
                   (Printf.sprintf "stages sum to %d ns <= %d ns around the call"
                      total elapsed)
                   true (total <= elapsed))));
+    quick "refresh refuses before recover" (fun () ->
+        with_dir "mgr-refresh-guard" (fun dir ->
+            let config = Durability.Config.make dir in
+            let open_manager () =
+              let mgr =
+                Manager.create ~domains:1 ~durability:config (make_db ())
+              in
+              define_views mgr;
+              ignore
+                (Manager.define_view mgr ~name:"d" ~mode:Manager.Deferred
+                   Query.Expr.(project [ "A" ] (base "R")));
+              mgr
+            in
+            ignore
+              (Manager.commit (open_manager ())
+                 [ Transaction.insert "R" (Tuple.of_ints [ 100; 1 ]) ]);
+            (* A second manager over that state has an empty bank, but
+               its view is as stale as its base relations. *)
+            match Manager.refresh (open_manager ()) "d" with
+            | _ -> Alcotest.fail "refresh before recovery accepted"
+            | exception Failure _ -> ()));
   ]
 
 (* ------------------------------------------------------------------ *)

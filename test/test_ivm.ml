@@ -26,14 +26,15 @@ let delta_tests =
         let d = Delta.of_lists schema ([ t 1; t 2 ], [ t 3 ]) in
         Alcotest.(check bool) "not empty" false (Delta.is_empty d);
         Alcotest.(check int) "size" 3 (Delta.size d));
-    quick "normalize cancels overlapping counts" (fun () ->
+    quick "bank cancels overlapping counts" (fun () ->
         let d =
           {
             Delta.inserts = counted_rel [ "A" ] [ ([ 1 ], 3); ([ 2 ], 1) ];
             deletes = counted_rel [ "A" ] [ ([ 1 ], 1); ([ 3 ], 2) ];
           }
         in
-        let n = Delta.normalize d in
+        let n = Delta.empty schema in
+        Delta.bank ~into:n d;
         Alcotest.(check int) "insert 1 count" 2
           (Relation.count n.Delta.inserts (t 1));
         Alcotest.(check bool) "delete 1 gone" false
@@ -118,10 +119,10 @@ let delta_tests =
         let d2 = Delta.reschema d (int_schema [ "r.A" ]) in
         Alcotest.(check (list string)) "renamed" [ "r.A" ]
           (Schema.names (Relation.schema d2.Delta.inserts)));
-    quick "merge_into accumulates" (fun () ->
+    quick "bank accumulates" (fun () ->
         let into = Delta.empty schema in
-        Delta.merge_into ~into (Delta.of_lists schema ([ t 1 ], [ t 2 ]));
-        Delta.merge_into ~into (Delta.of_lists schema ([ t 1 ], []));
+        Delta.bank ~into (Delta.of_lists schema ([ t 1 ], [ t 2 ]));
+        Delta.bank ~into (Delta.of_lists schema ([ t 1 ], []));
         Alcotest.(check int) "insert count" 2
           (Relation.count into.Delta.inserts (t 1)));
   ]
@@ -777,6 +778,27 @@ let manager_tests =
           (List.for_all (fun (_, d) -> Delta.is_empty d) pending);
         ignore (Manager.refresh mgr "u");
         Alcotest.(check bool) "consistent" true (View.consistent view db));
+    quick "a deferred view drops every deleted duplicate" (fun () ->
+        (* R holds (1,2) twice, so each delete takes one copy: the bank
+           must keep both through the commit after them. *)
+        let db =
+          db_of
+            [ ("R", counted_rel [ "A"; "B" ] [ ([ 1; 2 ], 2); ([ 3; 4 ], 1) ]) ]
+        in
+        let mgr = Manager.create db in
+        let view =
+          Manager.define_view mgr ~name:"u" ~mode:Manager.Deferred
+            Expr.(project [ "A"; "B" ] (base "R"))
+        in
+        List.iter
+          (fun t ->
+            ignore
+              (Manager.commit mgr [ Transaction.delete "R" (Tuple.of_ints t) ]))
+          [ [ 1; 2 ]; [ 1; 2 ]; [ 3; 4 ] ];
+        ignore (Manager.refresh mgr "u");
+        Alcotest.(check int) "no tuple left" 0
+          (Relation.cardinal (View.contents view));
+        Alcotest.(check bool) "consistent" true (Manager.consistent mgr "u"));
     quick "refresh of immediate view is a no-op" (fun () ->
         let db = example_4_1_db () in
         let mgr = Manager.create db in

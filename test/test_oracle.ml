@@ -340,6 +340,28 @@ let equivalence_tests =
       (survives_faults ~domains:4 ~policy:Resilience.Policy.Quarantine);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Crash schedule                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let crash_tests =
+  [
+    quick "twelve crash streams kill at every WAL point" (fun () ->
+        let dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "ivm-oracle-crash-%d" (Unix.getpid ()))
+        in
+        let o =
+          Oracle.Crash.fuzz ~dir ~seed:1986 ~streams:12 ~transactions:10
+            ~domains:1 ()
+        in
+        Alcotest.(check bool) "no divergence" true (o.Oracle.Crash.failure = None);
+        Alcotest.(check int) "every stream died once" 12 o.Oracle.Crash.crashes;
+        Alcotest.(check (list string)) "no point left unkilled" []
+          (Oracle.Crash.unkilled o));
+  ]
+
 let () =
   Alcotest.run "oracle"
     [
@@ -347,4 +369,5 @@ let () =
       ("stream filtering", filter_tests);
       ("corruption detection and shrinking", corruption_tests);
       ("equivalence", equivalence_tests);
+      ("crash", crash_tests);
     ]

@@ -701,6 +701,58 @@ let chunked_screening_equals_sequential seed =
   && Relation.equal seq.Delta.inserts par.Delta.inserts
   && Relation.equal seq.Delta.deletes par.Delta.deletes
 
+(* Delta.bank from a counted state: a run of deltas — set nets valid in
+   the state they meet (a delete takes one copy) and counted deltas
+   that hold tuples in both parts — applied one by one and banked into
+   one delta.  Applying the bank reaches the same state, and the bank
+   never holds a tuple in both parts. *)
+let bank_equals_sequential seed =
+  let rng = Rng.make seed in
+  let schema = Schema.make [ ("A", Value.Int_ty) ] in
+  let universe = List.init 6 (fun n -> Tuple.of_ints [ n ]) in
+  let r0 = Relation.create schema in
+  List.iter
+    (fun t ->
+      let c = Rng.int rng 3 in
+      if c > 0 then Relation.add ~count:c r0 t)
+    universe;
+  let state = Relation.copy r0 in
+  let step () =
+    if Rng.chance rng 0.5 then
+      Delta.of_lists schema
+        ( List.filter
+            (fun t -> (not (Relation.mem state t)) && Rng.chance rng 0.3)
+            universe,
+          List.filter
+            (fun t -> Relation.mem state t && Rng.chance rng 0.4)
+            universe )
+    else begin
+      (* Inserts apply first, so a delete may take what they add. *)
+      let d = Delta.empty schema in
+      List.iter
+        (fun t ->
+          let ins = Rng.int rng 3 in
+          let del = Rng.int rng (Relation.count state t + ins + 1) in
+          if ins > 0 then Relation.add ~count:ins d.Delta.inserts t;
+          if del > 0 then Relation.add ~count:del d.Delta.deletes t)
+        universe;
+      d
+    end
+  in
+  let bank = Delta.empty schema in
+  let disjoint = ref true in
+  for _ = 1 to 1 + Rng.int rng 8 do
+    let d = step () in
+    Delta.apply d state;
+    Delta.bank ~into:bank d;
+    Relation.iter
+      (fun t _ -> if Relation.mem bank.Delta.deletes t then disjoint := false)
+      bank.Delta.inserts
+  done;
+  let banked = Relation.copy r0 in
+  Delta.apply bank banked;
+  !disjoint && Relation.equal state banked
+
 let () =
   Alcotest.run "properties"
     [
@@ -734,6 +786,8 @@ let () =
             join_distributes_over_union;
           property "select commutes with union" ~count:200
             select_commutes_with_union;
+          property "applying a bank = applying its run of deltas" ~count:500
+            bank_equals_sequential;
         ] );
       ( "planner",
         [ property "run_many = run" ~count:100 run_many_equals_run ] );

@@ -66,6 +66,22 @@ let fault_tests =
             match Fault.point "a" with
             | () -> Alcotest.fail "filtered point did not fire"
             | exception Fault.Injected "a" -> ()));
+    quick "at schedules a point's executions outright" (fun () ->
+        let fired name =
+          match Fault.point name with
+          | () -> false
+          | exception Fault.Injected _ -> true
+        in
+        Fun.protect ~finally:Fault.disable (fun () ->
+            Fault.configure ~at:[ ("a", [ 1; 3 ]); ("b", []) ] ~rate:1.0 ();
+            Alcotest.(check (list bool))
+              "a fires at its executions 1 and 3"
+              [ false; true; false; true; false ]
+              (List.init 5 (fun _ -> fired "a"));
+            Alcotest.(check bool) "b never fires" false (fired "b");
+            Alcotest.(check bool) "other points keep the rate" true (fires ());
+            Fault.configure ~at:[ ("a", [ 0 ]) ] ~rate:0.0 ();
+            Alcotest.(check bool) "active at rate 0" true (fired "a")));
     quick "hash_unit stays in [0, 1)" (fun () ->
         for k = 0 to 999 do
           let u = Fault.hash_unit ~seed:k "point" (k * 17) in
@@ -392,6 +408,58 @@ let quarantined mgr name =
   | Manager.Quarantined _ -> true
   | Manager.Healthy | Manager.Disabled _ -> false
 
+(* R holds (1,2) twice, so each delete takes one copy.  A quarantined
+   view banks both deletes and a later one; its differential heal must
+   drop every copy. *)
+let heal_drops_every_deleted_duplicate () =
+  let db =
+    db_of [ ("R", counted_rel [ "A"; "B" ] [ ([ 1; 2 ], 2); ([ 3; 4 ], 1) ]) ]
+  in
+  let mgr = Manager.create ~domains:1 ~policy:Policy.Quarantine db in
+  let v =
+    Manager.define_view mgr ~name:"v" Query.Expr.(project [ "A"; "B" ] (base "R"))
+  in
+  let delete row = [ Transaction.delete "R" (Tuple.of_ints row) ] in
+  with_faults ~only:[ "task" ] ~rate:1.0 (fun () ->
+      ignore (Manager.commit mgr (delete [ 1; 2 ])));
+  (* The auto-heals of the next two commits fail, so both bank. *)
+  with_faults ~only:[ "eval"; "recompute" ] ~rate:1.0 (fun () ->
+      ignore (Manager.commit mgr (delete [ 1; 2 ]));
+      ignore (Manager.commit mgr (delete [ 3; 4 ])));
+  Alcotest.(check bool) "still quarantined" true (quarantined mgr "v");
+  Alcotest.(check bool) "heals" true (Manager.heal mgr "v");
+  Alcotest.(check int) "by the differential drain" 0
+    (Manager.stats mgr "v").Manager.recomputations;
+  Alcotest.(check int) "no tuple left" 0 (Relation.cardinal (View.contents v));
+  Alcotest.(check bool) "consistent" true (Manager.consistent mgr "v")
+
+(* A fault while a sharded evaluation queues its rows must surface as
+   itself, in the quarantine and in the WAL, whichever row it hits. *)
+let sharded_row_fault_reads_as_itself () =
+  for seed = 1 to 10 do
+    let mgr =
+      Manager.create ~domains:2 ~policy:Policy.Quarantine (example_db ())
+    in
+    ignore
+      (Manager.define_view mgr ~name:"v"
+         ~options:{ Ivm.Maintenance.default_options with shard_min = 1 }
+         join_expr);
+    with_faults ~seed ~only:[ "row" ] ~rate:0.5 (fun () ->
+        ignore
+          (Manager.commit mgr
+             [
+               Transaction.insert "R" (Tuple.of_ints [ 3; 2 ]);
+               Transaction.insert "S" (Tuple.of_ints [ 2; 8 ]);
+             ]));
+    match Manager.view_health mgr "v" with
+    | Manager.Healthy -> ()
+    | Manager.Quarantined q | Manager.Disabled q ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        (Printexc.to_string (Fault.Injected "row"))
+        q.Manager.error
+  done
+
 let dependent_failure_aborts () =
   let db, mgr, p, c = tower ~policy:Policy.Abort () in
   Relation.update (View.contents c) (Tuple.of_ints [ 1; 2; 7 ]) (-1);
@@ -666,6 +734,10 @@ let () =
             self_heal_on_next_commit;
           quick "exhausted heals disable the view; repair revives it"
             disable_after_exhausted_heals_then_repair;
+          quick "a differential heal drops every deleted duplicate"
+            heal_drops_every_deleted_duplicate;
+          quick "a sharded row fault is reported as itself"
+            sharded_row_fault_reads_as_itself;
         ] );
       ( "dependents",
         [
