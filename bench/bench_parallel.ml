@@ -16,9 +16,11 @@
    evaluation, so the curve isolates the intra-view axis.
 
    Both seeds fix scenario and stream, so every domain count processes
-   identical work.  [scaling_json] re-runs smaller versions of both
-   sweeps and serializes the curves into the BENCH_IVM.json snapshot
-   (schema_version 6). *)
+   identical work.  Each transaction is drawn just before its commit and
+   outside the timer, so a curve times the commits alone, and each point
+   is the median of [repeats] fresh replays.  [scaling_json] re-runs
+   smaller versions of both sweeps and serializes the curves into the
+   BENCH_IVM.json snapshot (schema_version 6). *)
 
 module Maintenance = Ivm.Maintenance
 module Manager = Ivm.Manager
@@ -28,6 +30,7 @@ module Rng = Workload.Rng
 
 let view_count = 8
 let domain_counts = [ 1; 2; 4; 8 ]
+let repeats = 5
 
 let define_dashboard_views mgr =
   let open Condition.Formula.Dsl in
@@ -46,25 +49,32 @@ let define_dashboard_views mgr =
                 (join (base "orders") (base "customers")))))
   done
 
+(* Seconds spent in [transactions] commits on [orders].  The generator
+   lists and shuffles the whole relation on every call, so each
+   transaction is drawn just before its commit, outside the timer. *)
+let timed_commits mgr rng sc ~transactions ~batch =
+  let db = sc.Scenario.db in
+  let columns = Scenario.columns_of sc "orders" in
+  let elapsed = ref 0.0 in
+  for _ = 1 to transactions do
+    let txn =
+      Generate.transaction rng db "orders" ~columns
+        ~inserts:(batch / 2)
+        ~deletes:(batch - (batch / 2))
+    in
+    elapsed :=
+      !elapsed +. Bench_util.time_once (fun () -> ignore (Manager.commit mgr txn))
+  done;
+  !elapsed
+
 (* One full E18 replay: build the scenario, define the eight views,
-   drive the transaction stream, return elapsed seconds of the commit
-   loop. *)
+   drive the transaction stream, return the seconds spent in commits. *)
 let run_per_view ~domains ~orders ~transactions ~batch seed =
   let rng = Rng.make seed in
   let sc = Scenario.orders ~rng ~customers:300 ~orders in
-  let db = sc.Scenario.db in
-  let mgr = Manager.create ~domains db in
+  let mgr = Manager.create ~domains sc.Scenario.db in
   define_dashboard_views mgr;
-  let columns = Scenario.columns_of sc "orders" in
-  Bench_util.time_once (fun () ->
-      for _ = 1 to transactions do
-        let txn =
-          Generate.transaction rng db "orders" ~columns
-            ~inserts:(batch / 2)
-            ~deletes:(batch - (batch / 2))
-        in
-        ignore (Manager.commit mgr txn)
-      done)
+  timed_commits mgr rng sc ~transactions ~batch
 
 (* One full E23 replay: a single wide join view, so the only available
    parallelism is the intra-view sharding inside Delta_eval.  The
@@ -74,8 +84,7 @@ let run_per_view ~domains ~orders ~transactions ~batch seed =
 let run_sharded ~domains ~customers ~orders ~transactions ~batch seed =
   let rng = Rng.make seed in
   let sc = Scenario.orders ~rng ~customers ~orders in
-  let db = sc.Scenario.db in
-  let mgr = Manager.create ~domains db in
+  let mgr = Manager.create ~domains sc.Scenario.db in
   let open Condition.Formula.Dsl in
   ignore
     (Manager.define_view mgr ~name:"big_join"
@@ -84,18 +93,16 @@ let run_sharded ~domains ~customers ~orders ~transactions ~batch seed =
            [ "oid"; "cid"; "amount"; "region" ]
            (select (v "amount" >% i 100)
               (join (base "orders") (base "customers")))));
-  let columns = Scenario.columns_of sc "orders" in
-  Bench_util.time_once (fun () ->
-      for _ = 1 to transactions do
-        let txn =
-          Generate.transaction rng db "orders" ~columns
-            ~inserts:(batch / 2)
-            ~deletes:(batch - (batch / 2))
-        in
-        ignore (Manager.commit mgr txn)
-      done)
+  timed_commits mgr rng sc ~transactions ~batch
 
-let curve run = List.map (fun domains -> (domains, run ~domains)) domain_counts
+(* Each point is the median of [repeats] fresh replays of one seed. *)
+let curve run =
+  List.map
+    (fun domains ->
+      let times = Array.init repeats (fun _ -> run ~domains) in
+      Array.sort Float.compare times;
+      (domains, times.(repeats / 2)))
+    domain_counts
 
 let speedup_at ~base results domains =
   match List.assoc_opt domains results with
@@ -182,16 +189,18 @@ let run () =
   let transactions = 60 and batch = 16 in
   Bench_util.banner
     (Printf.sprintf
-       "E18 per-view: commit throughput, %d txns x %d views, batch %d"
-       transactions view_count batch);
+       "E18 per-view: commit throughput, %d txns x %d views, batch %d \
+        (median of %d)"
+       transactions view_count batch repeats);
   print_curve ~transactions
     (curve (fun ~domains ->
          run_per_view ~domains ~orders:6_000 ~transactions ~batch 7_700));
   let sh_transactions = 10 and sh_batch = 256 in
   Bench_util.banner
     (Printf.sprintf
-       "E23 sharded: 1 wide join view, %d txns, batch %d, |customers|=6k"
-       sh_transactions sh_batch);
+       "E23 sharded: 1 wide join view, %d txns, batch %d, |customers|=6k \
+        (median of %d)"
+       sh_transactions sh_batch repeats);
   print_curve ~transactions:sh_transactions
     (curve (fun ~domains ->
          run_sharded ~domains ~customers:6_000 ~orders:8_000

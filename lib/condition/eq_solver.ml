@@ -51,7 +51,9 @@ let key_of_operand = function
 
 (* Ordering fragment: an order graph over equivalence classes.  Edge
    u -> v with weight 0 encodes "u <= v", weight -1 encodes "u < v"; a
-   negative cycle contradicts the total-order axioms. *)
+   negative cycle contradicts the total-order axioms, and a zero-weight
+   cycle forces its nodes equal, which contradicts a [<>] between two of
+   them. *)
 let ordering_verdict state atoms =
   let ordering_atoms =
     List.filter
@@ -124,8 +126,24 @@ let ordering_verdict state atoms =
           ~to_index:(Constraint_graph.node_index graph b)
           w)
       !edges;
-    if (Constraint_graph.floyd_warshall graph).Constraint_graph.negative then
-      `Unsat
+    let apsp = Constraint_graph.floyd_warshall graph in
+    let forced_equal (a : Formula.atom) =
+      let node o = node_name (key_of_operand o) in
+      match
+        ( Constraint_graph.node_index graph (node a.Formula.left),
+          Constraint_graph.node_index graph (node a.Formula.right) )
+      with
+      | u, v ->
+        apsp.Constraint_graph.dist.(u).(v) <= 0
+        && apsp.Constraint_graph.dist.(v).(u) <= 0
+      | exception Not_found -> false
+    in
+    if
+      apsp.Constraint_graph.negative
+      || List.exists
+           (fun (a : Formula.atom) -> a.Formula.cmp = Formula.Neq && forced_equal a)
+           atoms
+    then `Unsat
     else if constants = [] then `Sat
     else `Unknown
   end

@@ -16,10 +16,11 @@ type verdict =
 
     Equalities and disequalities are decided exactly.  Ordering atoms are
     handled with an order graph over the equivalence classes: a cycle
-    containing a strict edge proves [Unsat] (this uses only the axioms of
-    total orders, so it is exact); otherwise the verdict is [Sat] when no
-    ordering atom touches a constant, and [Unknown] when one does (the
-    lexicographic order on strings has gaps — e.g. nothing lies strictly
-    between ["a"] and ["a\x00"] — so constant-adjacent orderings cannot be
-    proven satisfiable without a realizability argument). *)
+    containing a strict edge proves [Unsat], and so does a [<>] between
+    two nodes that a cycle of [<=] edges forces equal (this uses only the
+    axioms of total orders, so it is exact); otherwise the verdict is
+    [Sat] when no ordering atom touches a constant, and [Unknown] when one
+    does (the lexicographic order on strings has gaps — e.g. nothing lies
+    strictly between ["a"] and ["a\x00"] — so constant-adjacent orderings
+    cannot be proven satisfiable without a realizability argument). *)
 val solve : Formula.atom list -> verdict

@@ -18,23 +18,6 @@ let input_for inputs alias =
     invalid_arg
       (Printf.sprintf "Delta_eval.eval: missing input for alias %S" alias)
 
-let output_schema ~(spj : Query.Spj.t) ~inputs =
-  let ty_of q =
-    let rec search = function
-      | [] ->
-        invalid_arg
-          (Printf.sprintf "Delta_eval.output_schema: unknown attribute %S" q)
-      | input :: rest -> (
-        let s = Relation.schema input.old_part in
-        match Schema.position_opt s q with
-        | Some i -> Schema.ty_at s i
-        | None -> search rest)
-    in
-    search inputs
-  in
-  Schema.make
-    (List.map (fun (out, q) -> (out, ty_of q)) spj.Query.Spj.projection)
-
 (* Operand relation for one source in one row, for the given part of the
    update set. *)
 let operand (input : source_input) (choice : Truth_table.operand) part =
@@ -49,8 +32,38 @@ let operand (input : source_input) (choice : Truth_table.operand) part =
 
 let default_shard_min = 2048
 
+let part_name = function `Inserts -> "inserts" | `Deletes -> "deletes"
+
+(* Shards of operand [r], cached per operand by physical identity: the
+   Inserts and Deletes sides of a row share their [Old_part] operands,
+   and two [reschema] aliases of one store are two operands with two
+   schemas, each needing shards that carry its own. *)
+let shards_of cache ~n r =
+  match List.assq_opt r !cache with
+  | Some shards -> shards
+  | None ->
+    let shards =
+      Obs.Span.with_span "shard"
+        ~args:(fun () ->
+          [ ("tuples", Obs.Json.Int (Relation.cardinal r)); ("shards", Obs.Json.Int n) ])
+        (fun () -> Relation.shard ~n r)
+    in
+    cache := (r, shards) :: !cache;
+    shards
+
+(* The position of a row's largest operand when it holds at least
+   [shard_min] tuples, else -1: the operand the row is sharded on. *)
+let rec lead ~shard_min i best n = function
+  | [] -> if n >= shard_min then best else -1
+  | (_, r) :: rest ->
+    let c = Relation.cardinal r in
+    if c > n then lead ~shard_min (i + 1) i c rest
+    else lead ~shard_min (i + 1) best n rest
+
 let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
     ?(shard_min = default_shard_min) ~(spj : Query.Spj.t) ~inputs () =
+  let condition_dnf = spj.Query.Spj.condition_dnf
+  and projection = spj.Query.Spj.projection in
   (* Reorder inputs to the view's source order; with [reuse], place
      modified sources first (smallest deltas lead the shared prefixes). *)
   let ordered_inputs =
@@ -76,8 +89,11 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
         modified
       @ by_size (fun i -> Relation.cardinal i.old_part) unmodified
   in
-  let out_schema = output_schema ~spj ~inputs in
-  let out = Delta.empty out_schema in
+  let out =
+    Delta.empty
+      (Query.Planner.output_schema ~projection
+         (List.map (fun i -> Relation.schema i.old_part) inputs))
+  in
   let modified =
     Array.of_list
       (List.map
@@ -114,15 +130,6 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
       | `Deletes -> Relation.union_into ~into:out.Delta.deletes relation
     in
     let rows_evaluated = List.length tasks in
-    let part_name = function `Inserts -> "inserts" | `Deletes -> "deletes" in
-    let pool_size =
-      match pool with Some p -> Exec.Pool.size p | None -> 1
-    in
-    let run_sources sources =
-      Query.Planner.run ~order ~join_impl ~sources
-        ~condition_dnf:spj.Query.Spj.condition_dnf
-        ~projection:spj.Query.Spj.projection ()
-    in
     if reuse then begin
       (* Shared-prefix evaluation runs all rows as one batch, so the rows
          cannot be traced individually; one span covers the batch. *)
@@ -134,86 +141,50 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
             Resilience.Fault.point "row";
             Query.Planner.run_many ~join_impl
               ~variants:(List.map snd tasks)
-              ~condition_dnf:spj.Query.Spj.condition_dnf
-              ~projection:spj.Query.Spj.projection ())
+              ~condition_dnf ~projection ())
       in
       List.iter2 (fun (part, _) r -> merge (part, r)) tasks results
     end
-    else if pool_size <= 1 then
-      List.iteri
-        (fun row_index (part, sources) ->
-          let r =
-            Obs.Span.with_span "row"
-              ~args:(fun () ->
-                [
-                  ("row", Obs.Json.Int row_index);
-                  ("part", Obs.Json.Str (part_name part));
-                  ("operands", Obs.Json.Int (List.length sources));
-                ])
-              (fun () ->
-                Resilience.Fault.point "row";
-                run_sources sources)
-          in
-          merge (part, r))
-        tasks
     else begin
-      (* Intra-view sharding: partition the largest operand of each
-         sufficiently big row across [pool_size] hash shards, fan the
-         shard evaluations out on the pool, and union the shard results
-         — SPJ evaluation is linear in any single operand over multiset
-         union, so the merged delta is exactly the unsharded one.  The
-         merge-order independence is a payload-ring property, not an int
-         one: [Relation.union_into] combines counters with the
-         commutative, associative [Ring.Count.add], never by comparing
-         payload magnitudes, so the bit-identity check against the
-         sequential path holds for any payload ring with those laws.
-         Sub-[shard_min] rows run inline on the caller while the workers
-         chew, which keeps every domain busy without paying submission
-         overhead for tiny rows. *)
-      let pool = Option.get pool in
-      (* Inserts and Deletes sides of a row share their [Old_part]
-         operands, so shards are cached per operand, by physical
-         identity: two [reschema] aliases of one store are two operands
-         with two schemas, and each needs shards carrying its own. *)
-      let shard_cache = ref [] in
-      let shards_of r =
-        match List.assq_opt r !shard_cache with
-        | Some shards -> shards
-        | None ->
-          let shards =
-            Obs.Span.with_span "shard"
-              ~args:(fun () ->
-                [
-                  ("tuples", Obs.Json.Int (Relation.cardinal r));
-                  ("shards", Obs.Json.Int pool_size);
-                ])
-              (fun () -> Relation.shard ~n:pool_size r)
-          in
-          shard_cache := (r, shards) :: !shard_cache;
-          shards
+      (* Intra-view sharding: the largest operand of each row that has
+         at least [shard_min] tuples is partitioned across [pool_size]
+         hash shards, the shard evaluations fan out on the pool, and
+         their results are unioned — SPJ evaluation is linear in any
+         single operand over multiset union, so the merged delta is
+         exactly the unsharded one.  The merge-order independence is a
+         payload-ring property, not an int one: [Relation.union_into]
+         combines counters with the commutative, associative
+         [Ring.Count.add], never by comparing payload magnitudes, so the
+         bit-identity check against inline evaluation holds for any
+         payload ring with those laws.  Smaller rows run inline on the
+         caller while the workers chew, which keeps every domain busy
+         without paying submission overhead for tiny rows; a size-1
+         pool (or none) shards nothing, so every row runs inline. *)
+      let pool_size = match pool with Some p -> Exec.Pool.size p | None -> 1 in
+      let shard_min = if pool_size > 1 then shard_min else max_int in
+      let run sources =
+        Query.Planner.run ~order ~join_impl ~sources ~condition_dnf ~projection ()
       in
-      let failure = ref None in
+      let row ?shard row_index part sources =
+        Obs.Span.with_span "row"
+          ~args:(fun () ->
+            [ ("row", Obs.Json.Int row_index); ("part", Obs.Json.Str (part_name part)) ]
+            @ Option.fold ~none:[] ~some:(fun s -> [ ("shard", Obs.Json.Int s) ]) shard
+            @ [ ("operands", Obs.Json.Int (List.length sources)) ])
+          (fun () -> run sources)
+      in
+      let shard_cache = ref [] and failure = ref None and jobs = ref [] in
       let fail e = if !failure = None then failure := Some e in
-      let inline_jobs = ref [] and shard_jobs = ref [] in
-      (* Fire each row's fault point in submission order, before any
-         fan-out: an injected fault aborts the eval without ever
-         spawning shard tasks, so no orphaned worker can be left
-         reading relations the caller mutates after the raise. *)
+      (* Fire each row's fault point in row order, before any row runs or
+         fans out: an injected fault aborts the eval without ever
+         spawning shard tasks, so no orphaned worker can be left reading
+         relations the caller mutates after the raise. *)
       (try
          List.iteri
            (fun row_index (part, sources) ->
              Resilience.Fault.point "row";
-             let lead, lead_cardinal =
-               List.fold_left
-                 (fun (best, best_n) (i, (_, r)) ->
-                   let n = Relation.cardinal r in
-                   if n > best_n then (i, n) else (best, best_n))
-                 (-1, -1)
-                 (List.mapi (fun i s -> (i, s)) sources)
-             in
-             if lead_cardinal < shard_min then
-               inline_jobs := (row_index, part, sources) :: !inline_jobs
-             else
+             let lead = lead ~shard_min 0 (-1) (-1) sources in
+             if lead >= 0 then
                Array.iteri
                  (fun shard_index shard ->
                    if not (Relation.is_empty shard) then
@@ -223,50 +194,30 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
                            (alias, if i = lead then shard else r))
                          sources
                      in
-                     let thunk () =
-                       Obs.Span.with_span "row"
-                         ~args:(fun () ->
-                           [
-                             ("row", Obs.Json.Int row_index);
-                             ("part", Obs.Json.Str (part_name part));
-                             ("shard", Obs.Json.Int shard_index);
-                             ("operands", Obs.Json.Int (List.length sources));
-                           ])
-                         (fun () -> run_sources sources)
-                     in
-                     shard_jobs := (part, thunk) :: !shard_jobs)
-                 (shards_of (snd (List.nth sources lead))))
+                     jobs :=
+                       (part, fun () -> row ~shard:shard_index row_index part sources)
+                       :: !jobs)
+                 (shards_of shard_cache ~n:pool_size (snd (List.nth sources lead))))
            tasks
        with e -> fail (e, Printexc.get_raw_backtrace ()));
       (* A failure while queueing submits nothing, so nothing is
          awaited either. *)
       let submitted =
-        match !failure with
-        | Some _ -> []
-        | None ->
-          let shard_jobs = List.rev !shard_jobs in
-          List.combine (List.map fst shard_jobs)
-            (Exec.Pool.submit_batch pool (List.map snd shard_jobs))
+        match !failure, pool, !jobs with
+        | None, Some pool, (_ :: _ as jobs) ->
+          let jobs = List.rev jobs in
+          List.combine (List.map fst jobs)
+            (Exec.Pool.submit_batch pool (List.map snd jobs))
+        | _ -> []
       in
-      (match !failure with
-      | Some _ -> ()
-      | None -> (
-        try
-          List.iter
-            (fun (row_index, part, sources) ->
-              let r =
-                Obs.Span.with_span "row"
-                  ~args:(fun () ->
-                    [
-                      ("row", Obs.Json.Int row_index);
-                      ("part", Obs.Json.Str (part_name part));
-                      ("operands", Obs.Json.Int (List.length sources));
-                    ])
-                  (fun () -> run_sources sources)
-              in
-              merge (part, r))
-            (List.rev !inline_jobs)
-        with e -> fail (e, Printexc.get_raw_backtrace ())));
+      (if !failure = None then
+         try
+           List.iteri
+             (fun row_index (part, sources) ->
+               if lead ~shard_min 0 (-1) (-1) sources < 0 then
+                 merge (part, row row_index part sources))
+             tasks
+         with e -> fail (e, Printexc.get_raw_backtrace ()));
       (* Await every submitted future even after a failure: a shard task
          still in flight must finish before control returns to a caller
          that may mutate its operands. *)
@@ -276,9 +227,7 @@ let eval ?(order = `Greedy) ?(join_impl = `Hash) ?(reuse = false) ?pool
           | Ok r -> if !failure = None then merge (part, r)
           | Error e -> fail e)
         submitted;
-      match !failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
     end;
     { delta = out; rows_evaluated }
   end

@@ -42,9 +42,15 @@ type result = {
       the row's delta.  SPJ evaluation is linear in any one operand
       over multiset union, so the merged delta — materialization,
       counters and [rows_evaluated] alike — is bit-identical to the
-      sequential result.  Rows below the threshold run inline on the
+      inline result.  Rows below the threshold run inline on the
       caller.  Ignored with [~reuse:true] (shared-prefix batches are
-      evaluated as one unit) and on size-1 pools.
+      evaluated as one unit).
+
+    Without [reuse], every row goes through one dispatch: each row's
+    ["row"] fault point fires, in row order, before any row is evaluated
+    or fanned out; then the sharded rows are submitted and the others
+    run inline.  A size-1 pool, or none, is its inline case: it shards
+    nothing.
     @raise Invalid_argument if an alias is missing. *)
 val eval :
   ?order:Query.Planner.join_order ->
@@ -61,6 +67,3 @@ val default_shard_min : int
 (** Minimum distinct-tuple count of a row's largest operand before the
     row is sharded across the pool (2048: below this, submission and
     shard-construction overhead outweigh the parallel win). *)
-
-(** Output schema of the view delta, derived from the inputs' schemas. *)
-val output_schema : spj:Query.Spj.t -> inputs:source_input list -> Schema.t

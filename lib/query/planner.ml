@@ -9,125 +9,46 @@ type join_impl =
   [ `Hash
   | `Nested_loop ]
 
-(* Filter a relation by a conjunction of atoms, resolving variable
-   positions once. *)
-let filter_conjunction schema atoms rel =
-  if atoms = [] then rel
+(* The one filter: keep the tuples of [rel] that satisfy [dnf], with
+   variable positions resolved once.  A disjunct without atoms is true,
+   so it keeps [rel] itself; the empty DNF is false. *)
+let filter dnf rel =
+  if dnf = [] then Relation.create (Relation.schema rel)
+  else if List.mem [] dnf then rel
   else begin
+    let schema = Relation.schema rel in
     let positions = Hashtbl.create 8 in
     List.iter
       (fun v ->
         if not (Hashtbl.mem positions v) then
           Hashtbl.replace positions v (Schema.position schema v))
-      (List.concat_map Formula.atom_vars atoms);
+      (List.concat_map (List.concat_map Formula.atom_vars) dnf);
     let current = ref [||] in
     let lookup v = Tuple.get !current (Hashtbl.find positions v) in
+    let rec all = function
+      | [] -> true
+      | a :: rest -> Formula.eval_atom lookup a && all rest
+    in
+    let rec any = function
+      | [] -> false
+      | c :: rest -> all c || any rest
+    in
     Ops.select
       (fun t ->
         current := t;
-        Formula.eval_conjunction lookup atoms)
+        any dnf)
       rel
   end
-
-let filter_dnf schema dnf rel =
-  let positions = Hashtbl.create 8 in
-  List.iter
-    (fun v ->
-      if not (Hashtbl.mem positions v) then
-        Hashtbl.replace positions v (Schema.position schema v))
-    (List.concat_map (List.concat_map Formula.atom_vars) dnf);
-  let current = ref [||] in
-  let lookup v = Tuple.get !current (Hashtbl.find positions v) in
-  Ops.select
-    (fun t ->
-      current := t;
-      Formula.eval_dnf lookup dnf)
-    rel
 
 let atom_is_local schema a =
   List.for_all (Schema.mem schema) (Formula.atom_vars a)
 
-(* Equality atoms between two variables, usable as hash-join keys. *)
-let equality_var_pair (a : Formula.atom) =
-  match a.Formula.left, a.Formula.cmp, a.Formula.right, a.Formula.shift with
-  | Formula.O_var x, Formula.Eq, Formula.O_var y, 0 -> Some (x, y)
-  | _ -> None
+let filter_local dnf rel =
+  let local = atom_is_local (Relation.schema rel) in
+  filter (List.map (List.filter local) dnf) rel
 
-let atom_equal (a : Formula.atom) (b : Formula.atom) = a = b
-
-(* Atoms present in every disjunct are implied by the whole condition. *)
-let common_atoms = function
-  | [] -> []
-  | first :: rest ->
-    List.filter
-      (fun a -> List.for_all (fun c -> List.exists (atom_equal a) c) rest)
-      first
-
-(* Join two operands.  [Ops.equijoin] probes a maintained index on
-   either side's join columns when one exists. *)
-let join_operands ~join_impl acc next ~oriented_keys =
-  match join_impl with
-  | `Nested_loop -> Ops.nested_loop_join acc next ~keys:oriented_keys
-  | `Hash -> Ops.equijoin acc next ~keys:oriented_keys
-
-type bound_source = {
-  alias : string;
-  rel : Relation.t;
-}
-
-let greedy_order sources key_pairs =
-  (* [key_pairs] are (alias, alias) connections derived from equality
-     atoms; prefer sources connected to what is already joined. *)
-  let connected alias bound =
-    List.exists
-      (fun (a, b) ->
-        (String.equal a alias && List.mem b bound)
-        || (String.equal b alias && List.mem a bound))
-      key_pairs
-  in
-  let smallest candidates =
-    List.fold_left
-      (fun best s ->
-        match best with
-        | None -> Some s
-        | Some b ->
-          if Relation.cardinal s.rel < Relation.cardinal b.rel then Some s
-          else best)
-      None candidates
-  in
-  let rec loop ordered bound remaining =
-    match remaining with
-    | [] -> List.rev ordered
-    | _ ->
-      let candidates =
-        match List.filter (fun s -> connected s.alias bound) remaining with
-        | [] -> remaining
-        | linked -> linked
-      in
-      let next =
-        match smallest candidates with
-        | Some s -> s
-        | None -> assert false
-      in
-      let remaining =
-        List.filter (fun s -> not (String.equal s.alias next.alias)) remaining
-      in
-      loop (next :: ordered) (next.alias :: bound) remaining
-  in
-  match sources with
-  | [] -> []
-  | _ ->
-    (* Seed with the globally smallest source. *)
-    (match smallest sources with
-    | Some seed ->
-      let rest =
-        List.filter (fun s -> not (String.equal s.alias seed.alias)) sources
-      in
-      loop [ seed ] [ seed.alias ] rest
-    | None -> assert false)
-
-let project_result ~projection joined =
-  let schema = Relation.schema joined in
+let project_to ~projection rel =
+  let schema = Relation.schema rel in
   let out_schema =
     Schema.make
       (List.map (fun (out, q) -> (out, Schema.ty schema q)) projection)
@@ -135,313 +56,211 @@ let project_result ~projection joined =
   let positions =
     Array.of_list (List.map (fun (_, q) -> Schema.position schema q) projection)
   in
-  let out = Relation.create ~size_hint:(Relation.cardinal joined) out_schema in
-  Relation.iter
-    (fun t c -> Relation.update out (Tuple.project positions t) c)
-    joined;
+  let out = Relation.create ~size_hint:(Relation.cardinal rel) out_schema in
+  Relation.iter (fun t c -> Relation.update out (Tuple.project positions t) c) rel;
   out
 
-let empty_result ~sources ~projection =
-  let ty_of q =
-    let rec search = function
-      | [] -> invalid_arg (Printf.sprintf "Planner.run: unknown attribute %S" q)
-      | (_, rel) :: rest -> (
-        let s = Relation.schema rel in
-        match Schema.position_opt s q with
-        | Some i -> Schema.ty_at s i
-        | None -> search rest)
-    in
-    search sources
+let output_schema ~projection schemas =
+  let rec ty_of q = function
+    | [] -> invalid_arg (Printf.sprintf "Planner.output_schema: unknown attribute %S" q)
+    | s :: rest -> (
+      match Schema.position_opt s q with
+      | Some i -> Schema.ty_at s i
+      | None -> ty_of q rest)
   in
-  Relation.create (Schema.make (List.map (fun (out, q) -> (out, ty_of q)) projection))
+  Schema.make (List.map (fun (out, q) -> (out, ty_of q schemas)) projection)
+
+let empty_result ~sources ~projection =
+  Relation.create
+    (output_schema ~projection (List.map (fun (_, r) -> Relation.schema r) sources))
+
+(* Equality atoms between two variables, usable as join keys. *)
+let equality_var_pair (a : Formula.atom) =
+  match a.Formula.left, a.Formula.cmp, a.Formula.right, a.Formula.shift with
+  | Formula.O_var x, Formula.Eq, Formula.O_var y, 0 -> Some (x, y)
+  | _ -> None
+
+(* Atoms present in every disjunct are implied by the whole condition. *)
+let common_atoms = function
+  | [] -> []
+  | [ conj ] -> conj
+  | first :: rest ->
+    List.filter (fun a -> List.for_all (List.mem a) rest) first
+
+(* The atoms the joins must apply: implied by every disjunct and local to
+   no single operand (push-down applied those). *)
+let pending_atoms common sources =
+  List.filter
+    (fun a ->
+      not (List.exists (fun (_, r) -> atom_is_local (Relation.schema r) a) sources))
+    common
+
+(* The one join step: join [next] onto the prefix [acc].  Pending
+   equality atoms that link the two are the join keys ([Ops.equijoin]
+   probes a maintained index on either side's key columns when one
+   exists); every other pending atom whose variables the result binds
+   filters it, and the rest stay pending. *)
+let join_step ~join_impl (acc, pending) next =
+  let sa = Relation.schema acc and sb = Relation.schema next in
+  let keys, rest =
+    List.partition_map
+      (fun atom ->
+        match equality_var_pair atom with
+        | Some (x, y) when Schema.mem sa x && Schema.mem sb y -> Either.Left (x, y)
+        | Some (x, y) when Schema.mem sa y && Schema.mem sb x -> Either.Left (y, x)
+        | _ -> Either.Right atom)
+      pending
+  in
+  let joined =
+    match join_impl with
+    | `Nested_loop -> Ops.nested_loop_join acc next ~keys
+    | `Hash -> Ops.equijoin acc next ~keys
+  in
+  match List.partition (atom_is_local (Relation.schema joined)) rest with
+  | [], later -> (joined, later)
+  | now, later -> (filter [ now ] joined, later)
+
+(* The last filter and the projection.  The joins applied a conjunction's
+   atoms as soon as they were bound, but only the shared atoms of a
+   disjunction, so the whole DNF filters here. *)
+let finish ~projection dnf (joined, pending) =
+  project_to ~projection
+    (match dnf, pending with
+    | [ _ ], [] -> joined
+    | [ _ ], _ -> filter [ pending ] joined
+    | _ -> filter dnf joined)
+
+(* Alias pairs that an equality atom links. *)
+let links sources atoms =
+  let alias_of x =
+    List.find_map
+      (fun (alias, r) -> if Schema.mem (Relation.schema r) x then Some alias else None)
+      sources
+  in
+  List.filter_map
+    (fun atom ->
+      match equality_var_pair atom with
+      | Some (x, y) -> (
+        match alias_of x, alias_of y with
+        | Some a, Some b when not (String.equal a b) -> Some (a, b)
+        | _ -> None)
+      | None -> None)
+    atoms
+
+let smallest = function
+  | [] -> assert false
+  | first :: rest ->
+    List.fold_left
+      (fun ((_, b) as best) ((_, r) as s) ->
+        if Relation.cardinal r < Relation.cardinal b then s else best)
+      first rest
+
+(* Smallest operand first, then repeatedly the smallest operand that one
+   of [links] ties to what is already joined (any operand when none is
+   tied). *)
+let rec greedy_order links bound = function
+  | ([] | [ _ ]) as last -> last
+  | remaining ->
+    let linked (alias, _) =
+      List.exists
+        (fun (a, b) ->
+          (String.equal a alias && List.mem b bound)
+          || (String.equal b alias && List.mem a bound))
+        links
+    in
+    let candidates =
+      match List.filter linked remaining with
+      | [] -> remaining
+      | linked -> linked
+    in
+    let ((alias, _) as next) = smallest candidates in
+    next
+    :: greedy_order links (alias :: bound)
+         (List.filter (fun (a, _) -> not (String.equal a alias)) remaining)
+
+exception Empty_operand
 
 let run ?(order = `Greedy) ?(join_impl = `Hash) ~sources ~condition_dnf
     ~projection () =
-  if sources = [] then invalid_arg "Planner.run: no sources";
-  (* Unsatisfiable condition (empty DNF, e.g. literal False). *)
-  if condition_dnf = [] then empty_result ~sources ~projection
-  else begin
-    let single =
-      match condition_dnf with
-      | [ c ] -> Some c
-      | _ -> None
+  let push (alias, rel) =
+    let rel = filter_local condition_dnf rel in
+    if Relation.is_empty rel then raise_notrace Empty_operand else (alias, rel)
+  in
+  match List.map push sources with
+  | exception Empty_operand -> empty_result ~sources ~projection
+  | [] -> invalid_arg "Planner.run: no sources"
+  | pushed -> (
+    let common = common_atoms condition_dnf in
+    let ordered =
+      match order with
+      | `Declaration -> pushed
+      | `Greedy -> greedy_order (links pushed common) [] pushed
     in
-    (* Push source-local predicates below the joins. *)
-    let filtered_sources =
-      List.map
-        (fun (alias, rel) ->
-          let schema = Relation.schema rel in
-          let rel =
-            match single with
-            | Some conj ->
-              filter_conjunction schema (List.filter (atom_is_local schema) conj)
-                rel
-            | None ->
-              (* Implied disjunction of the source-local parts: sound as
-                 long as every disjunct contributes at least one local
-                 atom. *)
-              let local_dnf =
-                List.map (List.filter (atom_is_local schema)) condition_dnf
-              in
-              if List.exists (fun c -> c = []) local_dnf then rel
-              else filter_dnf schema local_dnf rel
-          in
-          { alias; rel })
-        sources
+    match ordered with
+    | [] -> assert false
+    | (_, first) :: rest ->
+      finish ~projection condition_dnf
+        (List.fold_left
+           (fun state (_, rel) -> join_step ~join_impl state rel)
+           (first, pending_atoms common pushed)
+           rest))
+
+(* Members grouped by the physical relation they pick at [position], in
+   order of first appearance. *)
+let rec group position = function
+  | [] -> []
+  | (_, sources) :: _ as members ->
+    let rel = snd sources.(position) in
+    let same, others =
+      List.partition (fun (_, s) -> snd s.(position) == rel) members
     in
-    if List.exists (fun s -> Relation.is_empty s.rel) filtered_sources then
-      empty_result ~sources ~projection
-    else begin
-      let key_candidates =
-        match single with
-        | Some conj -> conj
-        | None -> common_atoms condition_dnf
-      in
-      let alias_of_attr a =
-        List.find_map
-          (fun s ->
-            if Schema.mem (Relation.schema s.rel) a then Some s.alias else None)
-          filtered_sources
-      in
-      let key_pairs =
-        List.filter_map
-          (fun atom ->
-            match equality_var_pair atom with
-            | None -> None
-            | Some (x, y) -> (
-              match alias_of_attr x, alias_of_attr y with
-              | Some ax, Some ay when not (String.equal ax ay) -> Some (ax, ay)
-              | _ -> None))
-          key_candidates
-      in
-      let ordered =
-        match order with
-        | `Declaration -> filtered_sources
-        | `Greedy -> greedy_order filtered_sources key_pairs
-      in
-      (* Pending atoms still to be applied (single-disjunct mode): the
-         source-local ones were already pushed down above. *)
-      let pending =
-        ref
-          (match single with
-          | Some conj ->
-            List.filter
-              (fun a ->
-                not
-                  (List.exists
-                     (fun s -> atom_is_local (Relation.schema s.rel) a)
-                     filtered_sources))
-              conj
-          | None -> [])
-      in
-      let join_step acc next =
-        let sa = Relation.schema acc and sb = Relation.schema next.rel in
-        let keys, rest =
-          List.partition
-            (fun atom ->
-              match equality_var_pair atom with
-              | Some (x, y) ->
-                (Schema.mem sa x && Schema.mem sb y)
-                || (Schema.mem sa y && Schema.mem sb x)
-              | None -> false)
-            (match single with
-            | Some _ -> !pending
-            | None -> common_atoms condition_dnf)
-        in
-        let oriented_keys =
-          List.filter_map
-            (fun atom ->
-              match equality_var_pair atom with
-              | Some (x, y) when Schema.mem sa x && Schema.mem sb y ->
-                Some (x, y)
-              | Some (x, y) when Schema.mem sa y && Schema.mem sb x ->
-                Some (y, x)
-              | _ -> None)
-            keys
-        in
-        let joined = join_operands ~join_impl acc next.rel ~oriented_keys in
-        match single with
-        | None -> joined
-        | Some _ ->
-          let schema = Relation.schema joined in
-          let now, later =
-            List.partition (atom_is_local schema) rest
-          in
-          pending := later;
-          (* Key atoms are satisfied by construction; drop them. *)
-          filter_conjunction schema now joined
-      in
-      let joined =
-        match ordered with
-        | [] -> assert false
-        | first :: rest ->
-          (* Apply atoms local to the first source that were not already
-             pushed (none in single mode — kept for safety). *)
-          List.fold_left join_step first.rel rest
-      in
-      let joined =
-        match single with
-        | Some _ ->
-          (* Any pending atoms must be local to the full product by now. *)
-          filter_conjunction (Relation.schema joined) !pending joined
-        | None -> filter_dnf (Relation.schema joined) condition_dnf joined
-      in
-      project_result ~projection joined
-    end
-  end
+    (rel, same) :: group position others
 
-let filter dnf r = filter_dnf (Relation.schema r) dnf r
-
-let filter_local dnf r =
-  let schema = Relation.schema r in
-  match dnf with
-  | [ conj ] ->
-    filter_conjunction schema (List.filter (atom_is_local schema) conj) r
-  | _ ->
-    let local_dnf = List.map (List.filter (atom_is_local schema)) dnf in
-    if List.exists (fun c -> c = []) local_dnf then r
-    else filter_dnf schema local_dnf r
-
-let project_to ~projection r = project_result ~projection r
-
-(* Shared-prefix evaluation of truth-table rows.  Variants are grouped by
-   the physical identity of the relation they pick at each position, so a
-   partial join is computed once per distinct prefix. *)
 let run_many ?(join_impl = `Hash) ~variants ~condition_dnf ~projection () =
   match variants with
   | [] -> []
-  | first_variant :: _ -> (
-    let single =
-      match condition_dnf with
-      | [ c ] -> Some c
-      | _ -> None
-    in
-    match single with
-    | None ->
-      List.map
-        (fun sources ->
-          run ~order:`Declaration ~join_impl ~sources ~condition_dnf
-            ~projection ())
+  | first :: _ ->
+    let width = List.length first in
+    if width = 0 then invalid_arg "Planner.run_many: no sources";
+    let members =
+      List.mapi
+        (fun i sources ->
+          let sources = Array.of_list sources in
+          if Array.length sources <> width then
+            invalid_arg "Planner.run_many: variants of different lengths";
+          (i, sources))
         variants
-    | Some conj ->
-      let position_count = List.length first_variant in
-      let arrays = List.map Array.of_list variants in
-      List.iter
-        (fun a ->
-          if Array.length a <> position_count then
-            invalid_arg "Planner.run_many: variants of different lengths")
-        arrays;
-      let results = Array.make (List.length arrays) None in
-      (* Source-local pushdown, cached per physical relation. *)
-      let pushed_cache : (Relation.t * Relation.t) list ref = ref [] in
-      let push_local rel =
-        match
-          List.find_opt (fun (original, _) -> original == rel) !pushed_cache
-        with
-        | Some (_, filtered) -> filtered
-        | None ->
-          let schema = Relation.schema rel in
-          let filtered =
-            filter_conjunction schema
-              (List.filter (atom_is_local schema) conj)
-              rel
-          in
-          pushed_cache := (rel, filtered) :: !pushed_cache;
-          filtered
-      in
-      (* Atoms not local to any single source, to be applied while
-         joining; schemas are identical across variants. *)
-      let source_schemas =
-        List.map (fun (_, rel) -> Relation.schema rel) first_variant
-      in
-      let initial_pending =
-        List.filter
-          (fun a ->
-            not (List.exists (fun s -> atom_is_local s a) source_schemas))
-          conj
-      in
-      let assign_empty members =
+    in
+    let results = Array.make (List.length variants) None in
+    let settle members r = List.iter (fun (i, _) -> results.(i) <- Some r) members in
+    (* Push-down, once per physical relation. *)
+    let pushed = ref [] in
+    let push rel =
+      match List.assq_opt rel !pushed with
+      | Some r -> r
+      | None ->
+        let r = filter_local condition_dnf rel in
+        pushed := (rel, r) :: !pushed;
+        r
+    in
+    (* [state] joins the first [position] operands that [members]
+       share; an empty operand or prefix settles them all empty. *)
+    let rec go position ((joined, _) as state) members =
+      if Relation.is_empty joined then
+        settle members (empty_result ~sources:first ~projection)
+      else if position = width then
+        settle members (finish ~projection condition_dnf state)
+      else
         List.iter
-          (fun (i, sources) ->
-            results.(i) <-
-              Some (empty_result ~sources:(Array.to_list sources) ~projection))
-          members
-      in
-      (* Join [filtered] onto the accumulated prefix, consuming pending
-         atoms exactly as [run] does. *)
-      let extend current pending filtered =
-        match current with
-        | None -> (filtered, pending)
-        | Some acc ->
-          let sa = Relation.schema acc and sb = Relation.schema filtered in
-          let keys, rest =
-            List.partition
-              (fun atom ->
-                match equality_var_pair atom with
-                | Some (x, y) ->
-                  (Schema.mem sa x && Schema.mem sb y)
-                  || (Schema.mem sa y && Schema.mem sb x)
-                | None -> false)
-              pending
-          in
-          let oriented_keys =
-            List.filter_map
-              (fun atom ->
-                match equality_var_pair atom with
-                | Some (x, y) when Schema.mem sa x && Schema.mem sb y ->
-                  Some (x, y)
-                | Some (x, y) when Schema.mem sa y && Schema.mem sb x ->
-                  Some (y, x)
-                | _ -> None)
-              keys
-          in
-          let joined = join_operands ~join_impl acc filtered ~oriented_keys in
-          let schema = Relation.schema joined in
-          let now, later = List.partition (atom_is_local schema) rest in
-          (filter_conjunction schema now joined, later)
-      in
-      let rec go position current pending members =
-        if position = position_count then begin
-          let joined =
-            match current with
-            | Some r -> filter_conjunction (Relation.schema r) pending r
-            | None -> assert false (* position_count >= 1 *)
-          in
-          let result = project_result ~projection joined in
-          List.iter (fun (i, _) -> results.(i) <- Some result) members
-        end
-        else begin
-          (* Group members by the physical relation chosen here. *)
-          let buckets : (Relation.t * (int * (string * Relation.t) array) list ref) list ref
-              =
-            ref []
-          in
-          List.iter
-            (fun ((_, sources) as member) ->
-              let _, rel = sources.(position) in
-              match List.find_opt (fun (r, _) -> r == rel) !buckets with
-              | Some (_, bucket) -> bucket := member :: !bucket
-              | None -> buckets := (rel, ref [ member ]) :: !buckets)
-            members;
-          List.iter
-            (fun (rel, bucket) ->
-              let bucket = List.rev !bucket in
-              let filtered = push_local rel in
-              if Relation.is_empty filtered then assign_empty bucket
-              else begin
-                let current', pending' = extend current pending filtered in
-                if Relation.is_empty current' then assign_empty bucket
-                else go (position + 1) (Some current') pending' bucket
-              end)
-            (List.rev !buckets)
-        end
-      in
-      if position_count = 0 then invalid_arg "Planner.run_many: no sources";
-      go 0 None initial_pending (List.mapi (fun i a -> (i, a)) arrays);
-      Array.to_list
-        (Array.map
-           (fun r ->
-             match r with
-             | Some r -> r
-             | None -> assert false)
-           results))
+          (fun (rel, members) ->
+            let r = push rel in
+            go (position + 1)
+              (if Relation.is_empty r then (r, []) else join_step ~join_impl state r)
+              members)
+          (group position members)
+    in
+    let pending = pending_atoms (common_atoms condition_dnf) first in
+    List.iter
+      (fun (rel, members) -> go 1 (push rel, pending) members)
+      (group 0 members);
+    Array.to_list (Array.map Option.get results)

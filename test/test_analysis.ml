@@ -65,6 +65,26 @@ let ivm001_tests =
         in
         Alcotest.(check (list string)) "IVM000" [ "IVM000" ] (codes ds);
         Alcotest.(check bool) "errors" true (Diagnostic.has_errors ds));
+    quick "a weak string cycle against <> is caught" (fun () ->
+        (* name <= region <= name forces name = region. *)
+        let db = Database.create () in
+        let register name columns =
+          Database.register db name
+            (Relation.of_tuples (Schema.make columns) [])
+        in
+        register "emp"
+          [ ("eid", Value.Int_ty); ("dept", Value.Int_ty);
+            ("salary", Value.Int_ty); ("name", Value.Str_ty) ];
+        register "dept"
+          [ ("dept", Value.Int_ty); ("cap", Value.Int_ty);
+            ("region", Value.Str_ty) ];
+        let ds =
+          diags db
+            (Query.Parser.view ~lookup:(lookup_of db)
+               "SELECT eid FROM emp, dept WHERE name <> region AND name <= \
+                region AND region <= name")
+        in
+        Alcotest.(check bool) "IVM001" true (has_code "IVM001" ds));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -505,6 +505,49 @@ let eq_tests =
         Alcotest.(check bool) "unknown" true
           (Eq.solve [ get_atom (v "a" >% s "m"); get_atom (v "a" <% s "z") ]
           = Eq.Unknown));
+    quick "a weak cycle forces equality against a disequality" (fun () ->
+        Alcotest.(check bool) "unsat" true
+          (Eq.solve
+             [
+               get_atom (v "x" <>% v "y");
+               get_atom (v "x" <=% v "y");
+               get_atom (v "y" <=% v "x");
+             ]
+          = Eq.Unsat));
+    quick "a three-variable weak cycle forces its ends equal" (fun () ->
+        Alcotest.(check bool) "unsat" true
+          (Eq.solve
+             [
+               get_atom (v "x" <=% v "y");
+               get_atom (v "y" <=% v "z");
+               get_atom (v "z" <=% v "x");
+               get_atom (v "x" <>% v "z");
+             ]
+          = Eq.Unsat));
+    quick "a weak cycle through an equality class" (fun () ->
+        (* y = w merges one node; x <= y, w <= x closes the cycle. *)
+        Alcotest.(check bool) "unsat" true
+          (Eq.solve
+             [
+               get_atom (v "y" =% v "w");
+               get_atom (v "x" <=% v "y");
+               get_atom (v "w" <=% v "x");
+               get_atom (v "x" <>% v "w");
+             ]
+          = Eq.Unsat));
+    quick "a weak cycle through a constant pins its class" (fun () ->
+        Alcotest.(check bool) "unsat" true
+          (Eq.solve
+             [
+               get_atom (v "x" <=% s "m");
+               get_atom (s "m" <=% v "x");
+               get_atom (v "x" <>% s "m");
+             ]
+          = Eq.Unsat));
+    quick "one weak edge leaves a disequality satisfiable" (fun () ->
+        Alcotest.(check bool) "sat" true
+          (Eq.solve [ get_atom (v "x" <=% v "y"); get_atom (v "x" <>% v "y") ]
+          = Eq.Sat));
   ]
 
 (* ------------------------------------------------------------------ *)

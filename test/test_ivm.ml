@@ -245,6 +245,74 @@ let delta_eval_tests =
              ignore (Delta_eval.eval ~spj:(View.spj view) ~inputs:[] ());
              false
            with Invalid_argument _ -> true));
+    quick "a dashboard row allocates at most its pinned words" (fun () ->
+        (* orders |x| customers under amount > 900 and region = 'north',
+           after a 4+4 update on orders: the common row path, with default
+           options, no pool and telemetry off.  A rise past [pinned] fails;
+           a drop is re-pinned by hand (11,354 words before the planner's
+           two join pipelines became one). *)
+        let pinned = 6_361 in
+        Obs.Control.disable ();
+        let rng = Workload.Rng.make 1986 in
+        let sc = Workload.Scenario.orders ~rng ~customers:500 ~orders:5_000 in
+        let db = sc.Workload.Scenario.db in
+        let view =
+          View.define ~name:"dashboard" ~db
+            Expr.(
+              project [ "oid"; "cid"; "amount" ]
+                (select
+                   ((v "amount" >% i 900) &&% (v "region" =% s "north"))
+                   (join (base "orders") (base "customers"))))
+        in
+        let q alias = View.qualified_schema view ~alias in
+        let orders = Database.find db "orders" in
+        let amount t = Value.int (Tuple.get t 2) in
+        let pick above n =
+          List.filteri
+            (fun k _ -> k < n)
+            (List.filter
+               (fun t -> amount t > 900 = above)
+               (List.map fst (Relation.elements orders)))
+        in
+        let deletes = pick true 2 @ pick false 2 in
+        let inserts =
+          List.mapi
+            (fun k a -> Tuple.of_ints [ 1_000_000 + k; 7 * k; a; 1 ])
+            [ 950; 920; 100; 400 ]
+        in
+        let old_orders = Relation.copy orders in
+        List.iter (Relation.remove old_orders) deletes;
+        let inputs =
+          List.map
+            (fun (s : Query.Spj.source) ->
+              let alias = s.Query.Spj.alias in
+              if String.equal s.Query.Spj.relation "orders" then
+                {
+                  Delta_eval.alias;
+                  old_part = Relation.reschema old_orders (q alias);
+                  delta = Some (Delta.of_lists (q alias) (inserts, deletes));
+                }
+              else
+                {
+                  Delta_eval.alias;
+                  old_part =
+                    Relation.reschema (Database.find db s.Query.Spj.relation)
+                      (q alias);
+                  delta = None;
+                })
+            (View.spj view).Query.Spj.sources
+        in
+        let eval () = Delta_eval.eval ~spj:(View.spj view) ~inputs () in
+        let warm = eval () in
+        Alcotest.(check int) "rows" 2 warm.Delta_eval.rows_evaluated;
+        let w0 = Gc.minor_words () in
+        let r = eval () in
+        let words = Gc.minor_words () -. w0 in
+        Printf.printf "dashboard row: %.0f minor words (pinned %d)\n%!" words
+          pinned;
+        Alcotest.(check bool) "a delta" false (Delta.is_empty r.Delta_eval.delta);
+        Alcotest.(check bool) "at most the pinned words" true
+          (words <= float_of_int pinned));
   ]
 
 (* ------------------------------------------------------------------ *)

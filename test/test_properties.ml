@@ -276,43 +276,120 @@ let select_commutes_with_union seed =
     (Relation.union (Ops.select p a) (Ops.select p b))
 
 (* ------------------------------------------------------------------ *)
-(* run_many equals run                                                *)
+(* run and run_many against a naive reference                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The planner's reference, sharing no code with it: the full product of
+   the operands, then the whole DNF, then the projection. *)
+let reference ~sources ~condition_dnf ~projection =
+  let columns =
+    List.concat_map
+      (fun (_, r) ->
+        let schema = Relation.schema r in
+        List.map (fun a -> (a, Schema.ty schema a)) (Schema.names schema))
+      sources
+  in
+  let rec index a k = function
+    | [] -> raise Not_found
+    | (b, _) :: rest -> if String.equal a b then k else index a (k + 1) rest
+  in
+  let at t a = t.(index a 0 columns) in
+  let product =
+    List.fold_left
+      (fun acc (_, r) ->
+        List.concat_map
+          (fun (t, c) ->
+            List.map (fun (u, d) -> (Array.append t u, c * d)) (Relation.elements r))
+          acc)
+      [ ([||], 1) ] sources
+  in
+  let out =
+    Relation.create
+      (Schema.make (List.map (fun (o, q) -> (o, List.assoc q columns)) projection))
+  in
+  List.iter
+    (fun (t, c) ->
+      if List.exists (List.for_all (F.eval_atom (at t))) condition_dnf then
+        Relation.add ~count:c out
+          (Array.of_list (List.map (fun (_, q) -> at t q) projection)))
+    product;
+  out
 
 let run_many_equals_run seed =
   let rng = Rng.make seed in
   let scenario = random_scenario rng in
   let lookup name = Relation.schema (Database.find scenario.db name) in
-  let spj = Spj.compile lookup scenario.expr in
+  let expr =
+    match Rng.int rng 4 with
+    | 0 ->
+      (* A self-join: two aliases of one store. *)
+      Expr.(
+        project [ "A"; "A2" ]
+          (select (v "B" =% v "B2")
+             (product (base "R") (rename [ ("A", "A2"); ("B", "B2") ] (base "R")))))
+    | 1 ->
+      (* The first disjunct has no atom local to either source. *)
+      Expr.(select ((v "A" <% v "C") ||% (v "B" =% i 3)) (join (base "R") (base "S")))
+    | _ -> scenario.expr
+  in
+  let spj = Spj.compile lookup expr in
+  let condition_dnf =
+    match Rng.int rng 5 with
+    | 0 -> [] (* false *)
+    | 1 ->
+      (* A constant-only atom, true or false, in every disjunct. *)
+      let k = Rng.int rng 3 in
+      List.map
+        (fun c -> F.atom (F.O_const (Value.Int 1)) F.Lt (F.O_const (Value.Int k)) :: c)
+        spj.Spj.condition_dnf
+    | _ -> spj.Spj.condition_dnf
+  in
   let qualified s =
     Relation.reschema
       (Database.find scenario.db s.Spj.relation)
       (Spj.qualified_schema lookup s)
   in
-  (* Variants swap random sources for small random subsets. *)
+  (* Variants swap random sources for small random subsets, or for the
+     tuples that push-down empties: each fails a local atom of every
+     disjunct (none does when some disjunct has no local atom). *)
   let variant () =
     List.map
       (fun (s : Spj.source) ->
         let full = qualified s in
-        if Rng.chance rng 0.4 then
-          let subset = Relation.create (Relation.schema full) in
-          Relation.iter
-            (fun t c -> if Rng.chance rng 0.3 then Relation.add ~count:c subset t)
-            full;
-          (s.Spj.alias, subset)
-        else (s.Spj.alias, full))
+        let schema = Relation.schema full in
+        let local a = List.for_all (Schema.mem schema) (F.atom_vars a) in
+        let subset keep =
+          let r = Relation.create schema in
+          Relation.iter (fun t c -> if keep t then Relation.add ~count:c r t) full;
+          r
+        in
+        ( s.Spj.alias,
+          match Rng.int rng 10 with
+          | 0 | 1 | 2 | 3 -> subset (fun _ -> Rng.chance rng 0.3)
+          | 4 ->
+            subset (fun t ->
+                List.for_all
+                  (List.exists (fun a ->
+                       local a && not (F.eval_atom (Tuple.value schema t) a)))
+                  condition_dnf)
+          | _ -> full ))
       spj.Spj.sources
   in
   let variants = List.init (1 + Rng.int rng 5) (fun _ -> variant ()) in
+  let projection = spj.Spj.projection in
+  let draw_impl () = if Rng.chance rng 0.5 then `Hash else `Nested_loop in
   let many =
-    Planner.run_many ~variants ~condition_dnf:spj.Spj.condition_dnf
-      ~projection:spj.Spj.projection ()
+    Planner.run_many ~join_impl:(draw_impl ()) ~variants ~condition_dnf
+      ~projection ()
   in
   List.for_all2
     (fun sources result ->
-      Relation.equal result
-        (Planner.run ~sources ~condition_dnf:spj.Spj.condition_dnf
-           ~projection:spj.Spj.projection ()))
+      let expected = reference ~sources ~condition_dnf ~projection in
+      let order = if Rng.chance rng 0.5 then `Greedy else `Declaration in
+      Relation.equal result expected
+      && Relation.equal expected
+           (Planner.run ~order ~join_impl:(draw_impl ()) ~sources ~condition_dnf
+              ~projection ()))
     variants many
 
 (* ------------------------------------------------------------------ *)
