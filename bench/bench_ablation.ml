@@ -377,7 +377,7 @@ let e16 () =
      measurement is long enough to mean something; the disabled and
      enabled arms run as interleaved pairs and the reported overhead is
      the median of the per-pair ratios (Bench_util.overhead_pairs), the
-     same methodology as E20/E22 — separate-phase timing was showing
+     same methodology as E22 — separate-phase timing was showing
      ±8% phantom "overheads" that were pure load drift. *)
   let screen_batch () =
     for _ = 1 to 10 do

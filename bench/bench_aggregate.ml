@@ -10,7 +10,7 @@
    too — the differential arm touches only the groups the batch hits,
    the recompute arm rebuilds every accumulator.
 
-   Like E20/E21, the two arms run in interleaved pairs and the reported
+   Like E21/E22, the two arms run in interleaved pairs and the reported
    ratio is the median of per-pair ratios, so machine-load drift cancels
    instead of biasing one arm. *)
 

@@ -19,7 +19,7 @@ let snapshot_path = "BENCH_IVM.json"
 (* The canonical workload: deterministic, a few hundred commits, covers
    both advisor outcomes (small batches keep differential winning, the
    churn phase pushes past the crossover into recomputation). *)
-let run_canonical_workload ?policy () =
+let run_canonical_workload () =
   let rng = Rng.make 900 in
   let adaptive =
     { Maintenance.default_options with strategy = Maintenance.Adaptive }
@@ -27,7 +27,7 @@ let run_canonical_workload ?policy () =
   let open Condition.Formula.Dsl in
   let sc = Scenario.orders ~rng ~customers:200 ~orders:4_000 in
   let db = sc.Scenario.db in
-  let mgr = Manager.create ?policy db in
+  let mgr = Manager.create db in
   ignore
     (Manager.define_view mgr ~name:"dashboard" ~options:adaptive
        Query.Expr.(
@@ -55,36 +55,33 @@ let run_canonical_workload ?policy () =
   done;
   mgr
 
-(* E20: happy-path journaling overhead.  The same canonical workload under
-   the default Abort policy (every commit journaled for rollback) and under
-   Unprotected (no journal), telemetry off.  The two policies run in
-   interleaved pairs and the reported overhead is the median of the
-   per-pair ratios: machine-load drift hits both members of a pair alike
-   and cancels in the ratio, which a min-of-N over separate phases does
-   not survive (the snapshot gate holds this to 5%, so the measurement
-   must be robust, not just fast). *)
-let measure_resilience ?(pairs = 7) () =
-  Bench_util.overhead_pairs ~pairs
-    ~off:(fun () ->
-      ignore (run_canonical_workload ~policy:Resilience.Policy.Unprotected ()))
-    ~on:(fun () ->
-      ignore (run_canonical_workload ~policy:Resilience.Policy.Abort ()))
-    ()
+(* E20: the undo journal every commit keeps, counted in the registry the
+   canonical run fills: the commits that journaled and the bytes their
+   journals held.  Both are deterministic, so they read the same on every
+   run, where a timing of the journal against a run without one spread
+   wider than any budget it could be held to. *)
+let journal_counts () =
+  match Obs.Metrics.histogram "ivm_resilience_journal_bytes" with
+  | Some h -> (h.Obs.Metrics.count, h.Obs.Metrics.sum)
+  | None -> (0, 0)
+
+let bytes_per_commit (commits, bytes) =
+  float_of_int bytes /. float_of_int (max 1 commits)
 
 let resilience_json () =
-  let protected_, unprotected, overhead_pct = measure_resilience () in
+  let ((commits, bytes) as counts) = journal_counts () in
   Obs.Json.Obj
     [
-      ("policy", Obs.Json.Str (Resilience.Policy.name Resilience.Policy.Abort));
-      ("protected_ns", Obs.Json.Int (int_of_float (protected_ *. 1e9)));
-      ("unprotected_ns", Obs.Json.Int (int_of_float (unprotected *. 1e9)));
-      ("journal_overhead_pct", Obs.Json.Float overhead_pct);
+      ("commits", Obs.Json.Int commits);
+      ("journal_bytes", Obs.Json.Int bytes);
+      ("journal_bytes_per_commit", Obs.Json.Float (bytes_per_commit counts));
     ]
 
 (* E22: flight-recorder overhead.  The provenance ring is always on, so
-   its cost must be demonstrably negligible; same interleaved-pairs
-   median methodology as E20 — recorder-off and recorder-on runs
-   alternate, so load drift cancels in the per-pair ratio. *)
+   its cost must be demonstrably negligible.  Recorder-off and
+   recorder-on runs alternate in interleaved pairs and the reported
+   overhead is the median of the per-pair ratios: load drift hits both
+   members of a pair alike and cancels in the ratio. *)
 let measure_recorder ?(pairs = 7) () =
   let once recording () =
     Obs.Provenance.set_recording recording;
@@ -220,16 +217,15 @@ let run () =
   in
   Bench_util.print_table ~header:[ "strategy used"; "samples" ]
     agreements_by_outcome;
-  Bench_util.banner "E20: commit journaling overhead (abort policy vs unprotected)";
-  let protected_, unprotected, overhead_pct = measure_resilience () in
+  Bench_util.banner "E20: the commit undo journal (canonical run)";
+  let ((commits, bytes) as counts) = journal_counts () in
   Bench_util.print_table
-    ~header:[ "policy"; "elapsed"; "overhead" ]
+    ~header:[ "commits"; "journal bytes"; "bytes per commit" ]
     [
-      [ "unprotected"; Bench_util.fmt_time unprotected; "-" ];
       [
-        "abort (journaled)";
-        Bench_util.fmt_time protected_;
-        Printf.sprintf "%+.2f%%" overhead_pct;
+        string_of_int commits;
+        string_of_int bytes;
+        Printf.sprintf "%.1f" (bytes_per_commit counts);
       ];
     ];
   Bench_util.banner

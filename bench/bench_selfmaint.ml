@@ -10,7 +10,7 @@
    stream), the part the certificate eliminates; apply time is identical
    work in both runs.
 
-   Like E20, the two arms run in interleaved pairs and the reported
+   Like E22, the two arms run in interleaved pairs and the reported
    ratio is the median of per-pair ratios, so machine-load drift cancels
    instead of biasing one arm. *)
 

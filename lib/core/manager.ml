@@ -65,20 +65,17 @@ let add_report stats (r : Maintenance.report) =
     predicted_recompute_cost = stats.predicted_recompute_cost +. recompute_cost;
   }
 
-type quarantine = {
-  error : string;
-  backtrace : string;
-  since : int; (* commit sequence number of the failure *)
-  heal_failures : int;
-  next_eligible : int;
-      (* first commit sequence number at which the self-heal ladder may
-         try again (see Resilience.Retry.schedule) *)
-}
-
-type view_health =
+type view_health = Durability.State.health =
   | Healthy
-  | Quarantined of quarantine
-  | Disabled of quarantine
+  | Quarantined of {
+      error : string;
+      since : int; (* commit sequence number of the failure *)
+      heal_failures : int;
+      next_eligible : int;
+          (* first commit sequence number at which the self-heal ladder
+             may try again (see Resilience.Retry.schedule) *)
+    }
+  | Disabled of { error : string; since : int; heal_failures : int }
 
 type view_outcome =
   | Rolled_back
@@ -114,6 +111,9 @@ type entry = {
 type durable = {
   config : Durability.Config.t;
   wal : Durability.Wal.t;
+  write_image : Durability.State.t -> unit;
+      (* [Checkpoint.write] staged over the checkpoint path, so a
+         checkpoint builds no path strings *)
   mutable tail : (int * Durability.Record.t) list;
   mutable needs_recovery : bool;
   mutable appended : bool; (* this manager instance appended a record *)
@@ -191,12 +191,12 @@ let create ?domains ?(policy = Resilience.Policy.Abort) ?durability db =
           Durability.Wal.open_ ~fsync:config.Durability.Config.fsync
             (Durability.Config.wal_path config)
         in
-        let baselined =
-          Sys.file_exists (Durability.Config.checkpoint_path config)
-        in
+        let path = Durability.Config.checkpoint_path config in
+        let baselined = Sys.file_exists path in
         {
           config;
           wal;
+          write_image = Durability.Checkpoint.write path;
           tail;
           (* Any surviving durable state means a previous incarnation got
              further than we have: recovery must replay it before this
@@ -319,40 +319,6 @@ let stats mgr name = (entry mgr name).stats
 (* ------------------------------------------------------------------ *)
 (* Durability: state capture/restore and the WAL append path.          *)
 
-(* Health crosses the durability boundary without its backtrace: a
-   backtrace is diagnostic text about one process, not engine state,
-   and dropping it is what lets a recovered quarantine compare equal
-   to the live one it mirrors. *)
-let health_to_state = function
-  | Healthy -> Durability.State.Healthy
-  | Quarantined q ->
-    Durability.State.Quarantined
-      {
-        error = q.error;
-        since = q.since;
-        heal_failures = q.heal_failures;
-        next_eligible = q.next_eligible;
-      }
-  | Disabled q ->
-    Durability.State.Disabled
-      { error = q.error; since = q.since; heal_failures = q.heal_failures }
-
-let health_of_state = function
-  | Durability.State.Healthy -> Healthy
-  | Durability.State.Quarantined { error; since; heal_failures; next_eligible }
-    ->
-    Quarantined
-      { error; backtrace = "<recovered>"; since; heal_failures; next_eligible }
-  | Durability.State.Disabled { error; since; heal_failures } ->
-    Disabled
-      {
-        error;
-        backtrace = "<recovered>";
-        since;
-        heal_failures;
-        next_eligible = since;
-      }
-
 (* An image of everything recovery must restore: base relations, every
    materialization (inner state of grouped views included), banked
    pending deltas, health, and the (seq, lsn) position.  It shares the
@@ -379,7 +345,7 @@ let live_state mgr =
         (fun e ->
           {
             Durability.State.view = View.name e.view;
-            health = health_to_state e.health;
+            health = e.health;
             contents = View.contents e.view;
             grouped = Option.map Grouped.inner (View.grouped e.view);
             pending =
@@ -441,7 +407,7 @@ let install_state mgr (st : Durability.State.t) =
                   deletes = Relation.copy deletes;
                 } ))
             vs.Durability.State.pending;
-        e.health <- health_of_state vs.Durability.State.health)
+        e.health <- vs.Durability.State.health)
     st.Durability.State.views;
   let covered =
     List.map (fun (vs : Durability.State.view_state) -> vs.Durability.State.view)
@@ -459,9 +425,7 @@ let install_state mgr (st : Durability.State.t) =
 
 let write_checkpoint mgr d =
   Resilience.Fault.point "wal-checkpoint";
-  Durability.Checkpoint.write
-    (Durability.Config.checkpoint_path d.config)
-    (live_state mgr);
+  d.write_image (live_state mgr);
   d.baselined <- true;
   Resilience.Fault.point "wal-truncate";
   let t0 = Obs.Clock.now_ns () in
@@ -545,12 +509,6 @@ let effective_policy mgr =
   | Some { forced = _ :: _ } -> Resilience.Policy.Quarantine
   | Some { forced = [] } | None -> mgr.policy
 
-(* Whether to journal is the one failure-policy choice made outside
-   [settle]: every policy but [Unprotected] keeps an undo log. *)
-let new_journal mgr =
-  if effective_policy mgr = Resilience.Policy.Unprotected then None
-  else Some (Resilience.Journal.create ())
-
 (* One provenance view record from a finished maintenance report — plain
    strings only, the obs layer cannot see core's types. *)
 let provenance_view (r : Maintenance.report) =
@@ -616,16 +574,15 @@ let record_provenance mgr ~kind ~outcome ?failing_phase ?(net = [])
    The rewind/restore is failure-hardened: restore happens in a single
    [Fun.protect] finally, re-adds exactly the tuples that were removed
    (consuming the list, so it cannot run twice), and debug-asserts that
-   rewind + restore was a net no-op on every touched base counter.  On
-   a protected manager the view-side delta apply is journaled, so a
-   mid-apply failure rolls the materialization back instead of leaving
-   a half-applied delta. *)
+   rewind + restore was a net no-op on every touched base counter.  The
+   view-side delta apply is journaled, so a mid-apply failure rolls the
+   materialization back instead of leaving a half-applied delta. *)
 (* [drain_deltas mgr e pending] also serves the dependents phase of
    {!commit}, where [pending] holds the parents' committed view deltas:
    those are counted relations, so the net expansion repeats a tuple
    once per count (a unit-count [List.map fst] would silently drop
    multiplicity and desynchronize the child). *)
-let drain_deltas mgr e ?journal pending =
+let drain_deltas mgr e ?(journal = Resilience.Journal.create ()) pending =
   let expand r =
     List.concat_map
       (fun (t, c) -> List.init c (fun _ -> t))
@@ -641,11 +598,6 @@ let drain_deltas mgr e ?journal pending =
   (* The drain always runs differentially, but the decision is still
      recorded for calibration. *)
   let decision = Advisor.decide e.view ~db:mgr.catalog ~net in
-  let journal =
-    match journal with
-    | Some _ -> journal
-    | None -> new_journal mgr
-  in
   let totals =
     List.map
       (fun (relation, _) ->
@@ -675,12 +627,12 @@ let drain_deltas mgr e ?journal pending =
         net;
       match
         Maintenance.maintain_differential ~options:e.options ~pool:mgr.pool
-          ?journal ~decision:(Some decision) e.view ~db:mgr.catalog ~net
+          ~journal ~decision:(Some decision) e.view ~db:mgr.catalog ~net
       with
       | report -> report
       | exception exn ->
         let bt = Printexc.get_raw_backtrace () in
-        Option.iter Resilience.Journal.rollback journal;
+        Resilience.Journal.rollback journal;
         Printexc.raise_with_backtrace exn bt)
 
 (* A stale view just brought to a fresh state: its bank is spent and it
@@ -765,24 +717,24 @@ let heal_entry mgr e =
                   ~db:mgr.catalog)
           with
           | Ok report -> finish report
-          | Error (err, bt) ->
+          | Error (err, _) ->
             let schedule = Resilience.Retry.default_schedule in
-            let failures = q.heal_failures + 1 in
-            let q' =
-              {
-                error = Printexc.to_string err;
-                backtrace = Printexc.raw_backtrace_to_string bt;
-                since = q.since;
-                heal_failures = failures;
-                next_eligible =
-                  mgr.commit_seq + 1
-                  + Resilience.Retry.heal_delay schedule ~failures;
-              }
-            in
+            let error = Printexc.to_string err and since = q.since in
+            let heal_failures = q.heal_failures + 1 in
             e.health <-
-              (if failures >= schedule.Resilience.Retry.rounds then
-                 Disabled q'
-               else Quarantined q');
+              (if heal_failures >= schedule.Resilience.Retry.rounds then
+                 Disabled { error; since; heal_failures }
+               else
+                 Quarantined
+                   {
+                     error;
+                     since;
+                     heal_failures;
+                     next_eligible =
+                       mgr.commit_seq + 1
+                       + Resilience.Retry.heal_delay schedule
+                           ~failures:heal_failures;
+                   });
             false))
 
 (* One heal round plus the health transition it made, if any — what the
@@ -799,7 +751,7 @@ let heal_transition mgr e =
         {
           Durability.Record.view = View.name e.view;
           healed;
-          health = health_to_state e.health;
+          health = e.health;
         }
     else None )
 
@@ -827,7 +779,7 @@ let heal_logged mgr e =
    newest-first. *)
 type attempt = {
   net : Transaction.net;
-  journal : Resilience.Journal.t option;
+  journal : Resilience.Journal.t;
   heals : Durability.Record.health_change list; (* in definition order *)
   resolved :
     (entry * Maintenance.strategy * Advisor.decision * string option) list;
@@ -838,14 +790,14 @@ type attempt = {
   t_start : int;
   mutable events : Obs.Provenance.event list;
   mutable ok : (entry * Maintenance.report) list;
-  mutable quarantined : (entry * quarantine * Durability.Record.outcome) list;
+  mutable quarantined : (entry * view_health * Durability.Record.outcome) list;
 }
 
 (* One view's maintenance in this commit, run against its own
    sub-journal; [cost] is the advisor's prediction in its units. *)
 type task = {
   entry : entry;
-  sub : Resilience.Journal.t option;
+  sub : Resilience.Journal.t;
   cost : float;
   maintain : unit -> Maintenance.report;
 }
@@ -933,28 +885,22 @@ let outcomes att ~failures =
         failures)
 
 (* A failure anywhere in the pipeline rolls the whole commit back to the
-   exact pre-commit state and raises [Commit_failed]; under
-   [Unprotected] there is no journal and the original exception escapes
-   mid-pipeline (the legacy torn behaviour) before getting here. *)
+   exact pre-commit state and raises [Commit_failed]. *)
 let abort mgr att ~phase ~error ~bt ~failures =
-  let journal_bytes = Option.map Resilience.Journal.bytes att.journal in
-  Option.iter
-    (fun j ->
-      Obs.Span.with_span "rollback"
-        ~args:(fun () -> [ ("phase", Obs.Json.Str phase) ])
-        (fun () -> Resilience.Journal.rollback j);
-      Obs.Metrics.add "ivm_resilience_rollbacks_total"
-        ~labels:[ ("scope", "commit") ]
-        1;
-      event att ~phase ~kind:"rollback"
-        (Printf.sprintf "commit journal rolled back (%d bytes)"
-           (Option.value ~default:0 journal_bytes)))
-    att.journal;
+  let journal_bytes = Resilience.Journal.bytes att.journal in
+  Obs.Span.with_span "rollback"
+    ~args:(fun () -> [ ("phase", Obs.Json.Str phase) ])
+    (fun () -> Resilience.Journal.rollback att.journal);
+  Obs.Metrics.add "ivm_resilience_rollbacks_total"
+    ~labels:[ ("scope", "commit") ]
+    1;
+  event att ~phase ~kind:"rollback"
+    (Printf.sprintf "commit journal rolled back (%d bytes)" journal_bytes);
   event att ~phase ~kind:"abort" (Printexc.to_string error);
   record_provenance mgr ~kind:"commit" ~outcome:"aborted" ~failing_phase:phase
     ~net:(provenance_net att.net)
     ~views:(List.rev_map snd att.ok)
-    ~events:(List.rev att.events) ?journal_bytes
+    ~events:(List.rev att.events) ~journal_bytes
     (Obs.Clock.now_ns () - att.t_start);
   (* Post-mortem to disk while the failure context is still whole: the
      dump carries this aborted record (failing phase included) plus the
@@ -975,28 +921,29 @@ let abort mgr att ~phase ~error ~bt ~failures =
        })
 
 (* Install one half of the net effect into the base relations; a
-   failure there aborts whenever the commit journals. *)
-let apply_base mgr att ~phase apply =
-  match apply ?journal:att.journal mgr.db att.net with
+   failure there aborts the commit. *)
+let apply_base mgr att ~phase
+    (apply : ?journal:Resilience.Journal.t -> Database.t -> _ -> unit) =
+  match apply ~journal:att.journal mgr.db att.net with
   | () -> ()
-  | exception error when Option.is_some att.journal ->
+  | exception error ->
     let bt = Printexc.get_raw_backtrace () in
     abort mgr att ~phase ~error ~bt ~failures:[]
 
 (* Banked as quarantined at [finish]; until then a view stays as healthy
    as it was, so an aborted commit leaves health untouched. *)
-let quarantine mgr att e err bt outcome =
+let quarantine mgr att e err outcome =
   att.quarantined <-
     ( e,
-      {
-        error = Printexc.to_string err;
-        backtrace = Printexc.raw_backtrace_to_string bt;
-        since = mgr.commit_seq;
-        heal_failures = 0;
-        (* A fresh quarantine is eligible for its first heal on the very
-           next commit; backoff starts after that first round fails. *)
-        next_eligible = mgr.commit_seq + 1;
-      },
+      Quarantined
+        {
+          error = Printexc.to_string err;
+          since = mgr.commit_seq;
+          heal_failures = 0;
+          (* A fresh quarantine is eligible for its first heal on the very
+             next commit; backoff starts after that first round fails. *)
+          next_eligible = mgr.commit_seq + 1;
+        },
       outcome )
     :: att.quarantined
 
@@ -1018,19 +965,14 @@ let run_task mgr t =
   | exception err -> Error (err, Printexc.get_raw_backtrace ())
 
 (* Settle a stage's task results in submission order.  This is the only
-   code that acts on the failure policy (beyond [new_journal]'s choice
-   of whether to journal): a success merges its sub-journal into the
-   commit's; a failure escapes mid-pipeline ([Unprotected]), joins the
-   commit-wide rollback once every sibling has settled ([Abort] — its
-   sub-journal joins the main journal so the global rollback undoes
-   this view's partial work too), or rolls back its own sub-journal and
-   quarantines the view while its siblings commit ([Quarantine]). *)
+   code that acts on the failure policy: a success merges its
+   sub-journal into the commit's; a failure joins the commit-wide
+   rollback once every sibling has settled ([Abort] — its sub-journal
+   joins the main journal so the global rollback undoes this view's
+   partial work too), or rolls back its own sub-journal and quarantines
+   the view while its siblings commit ([Quarantine]). *)
 let settle mgr att ~phase results =
-  let merge sub =
-    match (att.journal, sub) with
-    | Some main, Some sub -> Resilience.Journal.append ~into:main sub
-    | _ -> ()
-  in
+  let merge sub = Resilience.Journal.append ~into:att.journal sub in
   let failures =
     List.fold_left
       (fun failures (t, result) ->
@@ -1044,25 +986,20 @@ let settle mgr att ~phase results =
           | Some _ | None -> ());
           att.ok <- (t.entry, report) :: att.ok;
           failures
-        | Error (err, bt), Resilience.Policy.Unprotected ->
-          Printexc.raise_with_backtrace err bt
         | Error (err, bt), Resilience.Policy.Abort ->
           merge t.sub;
           (t.entry, err, bt) :: failures
-        | Error (err, bt), Resilience.Policy.Quarantine ->
-          Option.iter
-            (fun sub ->
-              Obs.Span.with_span "rollback"
-                ~args:(fun () -> [ ("view", Obs.Json.Str name) ])
-                (fun () -> Resilience.Journal.rollback sub);
-              Obs.Metrics.add "ivm_resilience_rollbacks_total"
-                ~labels:[ ("scope", "view") ]
-                1;
-              event att ~phase ~kind:"view-rollback" name)
-            t.sub;
+        | Error (err, _), Resilience.Policy.Quarantine ->
+          Obs.Span.with_span "rollback"
+            ~args:(fun () -> [ ("view", Obs.Json.Str name) ])
+            (fun () -> Resilience.Journal.rollback t.sub);
+          Obs.Metrics.add "ivm_resilience_rollbacks_total"
+            ~labels:[ ("scope", "view") ]
+            1;
+          event att ~phase ~kind:"view-rollback" name;
           event att ~phase ~kind:"quarantine"
             (name ^ ": " ^ Printexc.to_string err);
-          quarantine mgr att t.entry err bt
+          quarantine mgr att t.entry err
             (Durability.Record.Faulted (Printexc.to_string err));
           failures)
       [] results
@@ -1087,27 +1024,27 @@ let coalesce_threshold = 20_000
    no delta unless asked; parents of dependent views ask, so the
    dependents stage has something to consume. *)
 let base_task mgr att (e, strategy, (d : Advisor.decision), fallback) =
-  let sub = new_journal mgr in
+  let sub = Resilience.Journal.create () in
   let decision = Some d in
   let task cost maintain = { entry = e; sub; cost; maintain } in
   match strategy with
   | Maintenance.Differential | Maintenance.Adaptive ->
     task d.Advisor.differential_cost (fun () ->
         Maintenance.maintain_differential ~options:e.options ~pool:mgr.pool
-          ?journal:sub ?fallback ~decision e.view ~db:mgr.catalog ~net:att.net)
+          ~journal:sub ?fallback ~decision e.view ~db:mgr.catalog ~net:att.net)
   | Maintenance.Self_maintain ->
     task
       (Option.value ~default:d.Advisor.differential_cost
          d.Advisor.self_maintain_cost)
       (fun () ->
-        Maintenance.maintain_self_maintain ?journal:sub ~decision e.view
+        Maintenance.maintain_self_maintain ~journal:sub ~decision e.view
           ~net:att.net)
   | Maintenance.Recompute ->
     let want_delta =
       List.exists (fun c -> List.mem (View.name e.view) c.parents) mgr.entries
     in
     task d.Advisor.recompute_cost (fun () ->
-        Maintenance.maintain_recompute ?journal:sub ~want_delta ~decision
+        Maintenance.maintain_recompute ~journal:sub ~want_delta ~decision
           e.view ~db:mgr.catalog)
 
 (* Fan a stage's tasks out over the pool: once deletions are installed
@@ -1203,19 +1140,19 @@ let maintain_dependents mgr att =
             event att ~phase:"dependents" ~kind:"quarantine" detail;
             (* A cascade quarantine re-emerges organically from the
                replayed parents; the record is informational. *)
-            quarantine mgr att e (Failure detail) (Printexc.get_callstack 0)
+            quarantine mgr att e (Failure detail)
               (Durability.Record.Cascade detail)
           end
         | [] when inputs = [] -> ()
         | [] ->
           if e.health = Healthy then begin
-            let sub = new_journal mgr in
+            let sub = Resilience.Journal.create () in
             let t =
               {
                 entry = e;
                 sub;
                 cost = 0.0;
-                maintain = (fun () -> drain_deltas mgr e ?journal:sub inputs);
+                maintain = (fun () -> drain_deltas mgr e ~journal:sub inputs);
               }
             in
             settle mgr att ~phase:"dependents" [ (t, run_task mgr t) ]
@@ -1234,8 +1171,8 @@ let finish mgr att =
   let ok = List.rev att.ok and quarantined = List.rev att.quarantined in
   List.iter (fun (e, report) -> e.stats <- add_report e.stats report) ok;
   List.iter
-    (fun (e, q, _) ->
-      e.health <- Quarantined q;
+    (fun (e, health, _) ->
+      e.health <- health;
       Obs.Metrics.add "ivm_resilience_quarantines_total"
         ~labels:[ ("view", View.name e.view) ]
         1)
@@ -1251,13 +1188,13 @@ let finish mgr att =
         | Deferred, _ | Immediate, Quarantined _ -> bank e (inputs mgr att e)
         | Immediate, (Healthy | Disabled _) -> ())
     mgr.entries;
-  let journal_bytes = Option.map Resilience.Journal.bytes att.journal in
-  Option.iter (Obs.Metrics.observe "ivm_resilience_journal_bytes") journal_bytes;
+  let journal_bytes = Resilience.Journal.bytes att.journal in
+  Obs.Metrics.observe "ivm_resilience_journal_bytes" journal_bytes;
   let reports = List.map snd ok in
   record_provenance mgr ~kind:"commit"
     ~outcome:(if quarantined = [] then "committed" else "degraded")
     ~net:(provenance_net att.net) ~views:reports
-    ~events:(List.rev att.events) ?journal_bytes
+    ~events:(List.rev att.events) ~journal_bytes
     (Obs.Clock.now_ns () - att.t_start);
   if quarantined <> [] then ignore (Resilience.Flight.dump ~reason:"quarantine");
   (* Durability point: the commit exists once its record is framed,
@@ -1301,7 +1238,7 @@ let commit mgr txn =
       let att =
         {
           net;
-          journal = new_journal mgr;
+          journal = Resilience.Journal.create ();
           heals;
           resolved = plan mgr net;
           applied = Hashtbl.create 8;
@@ -1439,7 +1376,7 @@ let replay_heal mgr (h : Durability.Record.health_change) =
            "Manager.recover: replayed heal of %S did not converge"
            h.Durability.Record.view)
   end
-  else e.health <- health_of_state h.Durability.Record.health
+  else e.health <- h.Durability.Record.health
 
 let replay_record mgr (record : Durability.Record.t) =
   let in_replay forced f =

@@ -100,26 +100,24 @@ val create_index : t -> relation:string -> attrs:Attr.t list -> unit
 
 (** {2 Fault tolerance} *)
 
-type quarantine = {
-  error : string;  (** [Printexc.to_string] of the captured exception *)
-  backtrace : string;
-  since : int;  (** sequence number of the failing commit *)
-  heal_failures : int;  (** exhausted self-heal rounds so far *)
-  next_eligible : int;
-      (** first commit sequence number at which the automatic
-          commit-start heal may try again — the backoff ladder of
-          {!Resilience.Retry.schedule}.  Explicit {!heal} and
-          {!consistent} calls are not gated. *)
-}
-
-type view_health =
+(** A view's health is the one its checkpoint stores. *)
+type view_health = Durability.State.health =
   | Healthy
-  | Quarantined of quarantine
+  | Quarantined of {
+      error : string;  (** [Printexc.to_string] of the captured exception *)
+      since : int;  (** sequence number of the failing commit *)
+      heal_failures : int;  (** exhausted self-heal rounds so far *)
+      next_eligible : int;
+          (** first commit sequence number at which the automatic
+              commit-start heal may try again — the backoff ladder of
+              {!Resilience.Retry.schedule}.  Explicit {!heal} and
+              {!consistent} calls are not gated. *)
+    }
       (** Maintenance failed under the [Quarantine] policy: the
           materialization was rolled back to its last consistent state
           and is now stale; net effects are banked ({!pending}) until
           the view self-heals on its next access or commit. *)
-  | Disabled of quarantine
+  | Disabled of { error : string; since : int; heal_failures : int }
       (** Self-heal exhausted its rounds; only {!repair} revives the
           view. *)
 
@@ -171,9 +169,7 @@ val repair : t -> string -> bool
     Failure semantics by policy: under [Abort] any maintenance failure
     rolls everything back and raises {!Commit_failed}; under
     [Quarantine] a failing view is rolled back and quarantined while
-    siblings and base updates commit (base-apply failures still abort);
-    under [Unprotected] the first exception escapes mid-pipeline and
-    may leave the database torn.
+    siblings and base updates commit (base-apply failures still abort).
     @raise Transaction.Invalid on invalid transactions (nothing
     applied).
     @raise Commit_failed as above. *)
@@ -181,8 +177,8 @@ val commit : t -> Transaction.t -> Maintenance.report list
 
 (** [refresh mgr name] brings a deferred view up to date differentially
     from its bank ({!pending}) and empties the bank; [None] for
-    immediate views.  A failure leaves the bank as it was and, unless
-    the policy is [Unprotected], the view too.
+    immediate views.  A failure leaves the bank and the view as they
+    were.
     @raise Failure when the manager must {!recover} first, empty bank
     or not. *)
 val refresh : t -> string -> Maintenance.report option

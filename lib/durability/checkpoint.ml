@@ -3,18 +3,12 @@ let version = 1
 let header_size = String.length magic + 2
 let frame_start = header_size + 8
 
-let rec write_all fd b pos len =
-  if len > 0 then begin
-    let n = Unix.write fd b pos len in
-    write_all fd b (pos + n) (len - n)
-  end
-
 (* A rename is durable only once the directory entry is: without this
    fsync a power loss can lose the rename while the WAL truncation that
    follows it survives, bringing the old checkpoint back without the
    records that bridged the gap. *)
-let fsync_dir path =
-  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 let observe_stage stage ns =
@@ -36,7 +30,7 @@ let stream_payload fd state =
     Buffer.blit b 0 !staging 0 n;
     crc :=
       Codec.crc32 ~crc:!crc (Bytes.unsafe_to_string !staging) ~pos:0 ~len:n;
-    write_all fd !staging 0 n;
+    Wal.write_all fd !staging 0 n;
     len := !len + n;
     write_ns := !write_ns + (Obs.Clock.now_ns () - t0)
   in
@@ -49,49 +43,52 @@ let stream_payload fd state =
 (* The header needs the payload's length and CRC, so it goes to offset
    0 last. *)
 let seal fd ~len ~crc =
-  let header = Bytes.create frame_start in
-  Bytes.blit_string magic 0 header 0 (String.length magic);
-  Bytes.set_uint16_le header (String.length magic) version;
+  let header =
+    Bytes.extend (Wal.header ~magic ~version) 0 (frame_start - header_size)
+  in
   Codec.set_frame_header header header_size ~len ~crc;
   ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  write_all fd header 0 frame_start
+  Wal.write_all fd header 0 frame_start
 
-let write path state =
-  let now = Obs.Clock.now_ns in
-  let tmp = path ^ ".tmp" in
-  let t_start = now () in
-  let len, write_ns, t_streamed, t_sealed, t_synced =
-    try
-      let fd =
-        Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      in
-      let stages =
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            let len, crc, write_ns = stream_payload fd state in
-            let t_streamed = now () in
-            Resilience.Fault.point "wal-checkpoint-seal";
-            seal fd ~len ~crc;
-            let t_sealed = now () in
-            Unix.fsync fd;
-            (len, write_ns, t_streamed, t_sealed, now ()))
-      in
-      Unix.rename tmp path;
-      stages
-    with exn ->
-      let bt = Printexc.get_raw_backtrace () in
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Printexc.raise_with_backtrace exn bt
-  in
-  fsync_dir path;
-  let t_end = now () in
-  observe_stage "encode" (t_streamed - t_start - write_ns);
-  observe_stage "write" (write_ns + t_sealed - t_streamed);
-  observe_stage "fsync" (t_synced - t_sealed);
-  observe_stage "publish" (t_end - t_synced);
-  Obs.Metrics.add "ivm_wal_checkpoints_total" ~labels:[] 1;
-  Obs.Metrics.observe "ivm_wal_checkpoint_bytes" (frame_start + len)
+(* Staged: [write path] builds the temp-file and directory names once, so
+   a caller that keeps it writes each checkpoint without them. *)
+let write path =
+  let tmp = path ^ ".tmp" and dir = Filename.dirname path in
+  fun state ->
+    let now = Obs.Clock.now_ns in
+    let t_start = now () in
+    let len, write_ns, t_streamed, t_sealed, t_synced =
+      try
+        let fd =
+          Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+        in
+        let stages =
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let len, crc, write_ns = stream_payload fd state in
+              let t_streamed = now () in
+              Resilience.Fault.point "wal-checkpoint-seal";
+              seal fd ~len ~crc;
+              let t_sealed = now () in
+              Unix.fsync fd;
+              (len, write_ns, t_streamed, t_sealed, now ()))
+        in
+        Unix.rename tmp path;
+        stages
+      with exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try Sys.remove tmp with Sys_error _ -> ());
+        Printexc.raise_with_backtrace exn bt
+    in
+    fsync_dir dir;
+    let t_end = now () in
+    observe_stage "encode" (t_streamed - t_start - write_ns);
+    observe_stage "write" (write_ns + t_sealed - t_streamed);
+    observe_stage "fsync" (t_synced - t_sealed);
+    observe_stage "publish" (t_end - t_synced);
+    Obs.Metrics.add "ivm_wal_checkpoints_total" ~labels:[] 1;
+    Obs.Metrics.observe "ivm_wal_checkpoint_bytes" (frame_start + len)
 
 (* The file at its known size, in one read. *)
 let read_file path =
@@ -109,26 +106,7 @@ let read path =
   else begin
     let content = read_file path in
     let size = String.length content in
-    if size < frame_start then
-      raise
-        (Wal.Incompatible_wal
-           (Printf.sprintf "%s: %d-byte file is too short for a checkpoint"
-              path size));
-    if String.sub content 0 (String.length magic) <> magic then
-      raise
-        (Wal.Incompatible_wal
-           (Printf.sprintf "%s: bad magic %S (expected %S)" path
-              (String.sub content 0 (String.length magic))
-              magic));
-    let v =
-      Char.code content.[String.length magic]
-      lor (Char.code content.[String.length magic + 1] lsl 8)
-    in
-    if v <> version then
-      raise
-        (Wal.Incompatible_wal
-           (Printf.sprintf "%s: checkpoint version %d (this build reads %d)"
-              path v version));
+    Wal.check_header ~magic ~version ~min_size:frame_start ~path content;
     let len = Int32.to_int (String.get_int32_le content header_size) land 0xffffffff in
     if frame_start + len <> size then
       raise

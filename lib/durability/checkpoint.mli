@@ -16,7 +16,9 @@ val version : int
     through a buffer of about {!Codec.chunk} bytes, checksummed as it
     goes; the header, which needs the payload's length and CRC, is
     sealed at offset 0 after it, behind the [wal-checkpoint-seal] kill
-    point.  No buffer the size of the payload is built.
+    point.  No buffer the size of the payload is built.  [write path]
+    alone builds the temp-file and directory names; a caller that keeps
+    it writes each checkpoint without building them again.
 
     Each call observes [ivm_wal_checkpoint_ns{stage}] for [encode]
     (building the bytes), [write] (checksum and writes, summed over the

@@ -5,9 +5,8 @@
 
     This is the checkpoint payload and the unit of comparison for the
     crash-recovery oracle: two states are interchangeable iff {!diff}
-    returns [None].  Health deliberately omits backtraces (they are
-    diagnostic text, not state) so a recovered quarantine compares
-    equal to the live one it mirrors. *)
+    returns [None].  {!health} is also the type the manager keeps for
+    each view, so a recovered view's health equals the live one's. *)
 
 open Relalg
 

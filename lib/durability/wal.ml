@@ -10,12 +10,38 @@ let magic = "IVMWAL"
 let version = 1
 let header_size = String.length magic + 2
 
-let header_bytes =
-  let b = Buffer.create header_size in
-  Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr (version land 0xff));
-  Buffer.add_char b (Char.chr ((version lsr 8) land 0xff));
-  Buffer.contents b
+let header ~magic ~version =
+  let b = Bytes.create (String.length magic + 2) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_uint16_le b (String.length magic) version;
+  b
+
+let check_header ~magic ~version ~min_size ~path content =
+  let len = String.length content in
+  if len < min_size then
+    raise
+      (Incompatible_wal
+         (Printf.sprintf "%s: %d-byte file is shorter than %d bytes" path len
+            min_size))
+  else if not (String.starts_with ~prefix:magic content) then
+    raise
+      (Incompatible_wal
+         (Printf.sprintf "%s: bad magic %S (expected %S)" path
+            (String.sub content 0 (String.length magic))
+            magic))
+  else
+    let v = String.get_uint16_le content (String.length magic) in
+    if v <> version then
+      raise
+        (Incompatible_wal
+           (Printf.sprintf "%s: format version %d (this build reads %d)" path v
+              version))
+
+let rec write_all fd bytes pos len =
+  if len > 0 then begin
+    let n = Unix.write fd bytes pos len in
+    write_all fd bytes (pos + n) (len - n)
+  end
 
 type t = {
   path : string;
@@ -31,30 +57,6 @@ let read_file path =
   if Sys.file_exists path then
     In_channel.with_open_bin path In_channel.input_all
   else ""
-
-let check_header ~path content =
-  let len = String.length content in
-  if len < header_size then
-    raise
-      (Incompatible_wal
-         (Printf.sprintf "%s: %d-byte file is shorter than the %d-byte header"
-            path len header_size))
-  else if String.sub content 0 (String.length magic) <> magic then
-    raise
-      (Incompatible_wal
-         (Printf.sprintf "%s: bad magic %S (expected %S)" path
-            (String.sub content 0 (min len (String.length magic)))
-            magic))
-  else
-    let v =
-      Char.code content.[String.length magic]
-      lor (Char.code content.[String.length magic + 1] lsl 8)
-    in
-    if v <> version then
-      raise
-        (Incompatible_wal
-           (Printf.sprintf "%s: format version %d (this build reads %d)" path v
-              version))
 
 (* Scan frames from [header_size]; returns the whole records (with their
    byte extents) and the offset where the good prefix ends.  A frame is
@@ -92,21 +94,16 @@ let scan content =
   done;
   (List.rev !records, !off)
 
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
-
 let open_ ~fsync path =
   let content = read_file path in
   let fresh = String.length content = 0 in
-  if not fresh then check_header ~path content;
+  if not fresh then
+    check_header ~magic ~version ~min_size:header_size ~path content;
   let records, good = if fresh then ([], header_size) else scan content in
   let torn = if fresh then 0 else String.length content - good in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   if fresh then begin
-    write_all fd (Bytes.of_string header_bytes) 0 header_size;
+    write_all fd (header ~magic ~version) 0 header_size;
     Unix.fsync fd
   end
   else if torn > 0 then begin
@@ -182,7 +179,7 @@ let scan_file path =
   let content = read_file path in
   if String.length content = 0 then ([], 0)
   else begin
-    check_header ~path content;
+    check_header ~magic ~version ~min_size:header_size ~path content;
     let records, good = scan content in
     (records, String.length content - good)
   end

@@ -29,6 +29,27 @@ type t
 val magic : string
 val version : int
 
+(** {2 File framing shared with {!Checkpoint}} *)
+
+(** [header ~magic ~version] is the header a WAL or checkpoint file
+    starts with: the magic, then the format version as u16le. *)
+val header : magic:string -> version:int -> Bytes.t
+
+(** [check_header ~magic ~version ~min_size ~path content] accepts
+    [content], the bytes of the file at [path], when it is at least
+    [min_size] bytes long (no less than the header) and starts with
+    [header ~magic ~version].
+    @raise Incompatible_wal otherwise, naming [path] and what it
+    found. *)
+val check_header :
+  magic:string -> version:int -> min_size:int -> path:string -> string -> unit
+
+(** [write_all fd b pos len] writes [len] bytes of [b] from [pos],
+    looping over short writes. *)
+val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
+
+(** {2 The log} *)
+
 (** [open_ ~fsync path] opens (creating if missing) the log, validates
     the header, truncates any torn tail, and returns the writer plus
     every surviving record with its LSN, in append order.

@@ -14,8 +14,11 @@
        MIN/MAX rescan counts);
    v8: adds the E25 "durability" section (write-ahead-log overhead vs
        the in-memory pipeline, and the recovery-time curve over log
-       length). *)
-let schema_version = 8
+       length);
+   v9: the E20 "resilience" section counts the commit undo journal
+       (commits, journal bytes, bytes per commit) in place of timing it
+       against a run without one. *)
+let schema_version = 9
 
 type need =
   | Present
@@ -94,10 +97,9 @@ let rows =
   @ scaling "parallel.per_view" [ (2, 0.0); (4, 0.0); (8, 0.0) ]
   @ scaling "parallel.sharded" [ (2, 1.0); (4, 1.5); (8, 0.0) ]
   @ [
-      row "resilience.protected_ns" Positive_int;
-      row "resilience.unprotected_ns" Positive_int;
-      row "resilience.journal_overhead_pct" Number ~gate:(Budget 5.0)
-        ~why:"E20: the undo journal runs on every protected commit";
+      row "resilience.commits" Positive_int;
+      row "resilience.journal_bytes" Positive_int ~compare:Drift;
+      row "resilience.journal_bytes_per_commit" Positive;
       row "self_maintenance.commits" Positive_int;
       row "self_maintenance.differential_eval_ns" Positive_int;
       row "self_maintenance.self_maintain_eval_ns" Positive_int;

@@ -69,13 +69,3 @@ let point name =
   end
 
 let injected () = Atomic.get injected_count
-
-(* [IVM_FAULT_RATE] activates injection at program start (library
-   initializers run before [main]). *)
-let () =
-  match Sys.getenv_opt "IVM_FAULT_RATE" with
-  | None -> ()
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some r when r > 0.0 -> configure ~rate:r ()
-    | _ -> ())

@@ -9,9 +9,7 @@
     is what lets the oracle fuzzer replay and shrink failing streams.
 
     Injection is off by default; {!point} then costs one atomic load
-    and a branch.  Setting the [IVM_FAULT_RATE] environment variable
-    to a float in (0, 1] activates it at program start with the
-    default seed; programs activate it explicitly with {!configure}.
+    and a branch.  Programs activate it explicitly with {!configure}.
     Per-point occurrence counters are process-wide and reset by
     {!configure}, so replays must reconfigure before each run. *)
 

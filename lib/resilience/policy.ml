@@ -1,6 +1,5 @@
-type t = Abort | Quarantine | Unprotected
+type t = Abort | Quarantine
 
 let name = function
   | Abort -> "abort"
   | Quarantine -> "quarantine"
-  | Unprotected -> "unprotected"

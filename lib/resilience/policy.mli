@@ -18,9 +18,5 @@ type t =
           views and the base update commit normally.  The quarantined
           view self-heals on its next access or commit.  Failures in
           the base-apply phases still abort the whole commit. *)
-  | Unprotected
-      (** Legacy behaviour: no undo journal, first exception re-raised
-          mid-pipeline.  Exists as the happy-path overhead baseline
-          for benchmarks; do not use where torn state matters. *)
 
 val name : t -> string

@@ -23,7 +23,7 @@ val default : policy
     [base * multiplier^(k-1)] commits, jittered by [backoff_jitter]
     deterministically in [(schedule_seed, k)].  The manager surfaces
     the resulting eligibility point in each quarantine's
-    [next_eligible] field (see {!Ivm.Manager.quarantine}). *)
+    [next_eligible] field (see {!Ivm.Manager.view_health}). *)
 type schedule = {
   rounds : int;  (** failed heal rounds before the view is disabled *)
   base : int;  (** commits to wait after the first failed round, >= 1 *)

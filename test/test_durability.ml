@@ -1261,6 +1261,38 @@ let manager_tests =
             match Manager.refresh (open_manager ()) "d" with
             | _ -> Alcotest.fail "refresh before recovery accepted"
             | exception Failure _ -> ()));
+    quick "a checkpoint allocates the same whatever its directory's name"
+      (fun () ->
+        (* The same seeded commits, three checkpoints among them, in two
+           directories whose names differ by 80 characters: a path
+           string built per checkpoint shows in the minor words. *)
+        let minor_words name =
+          with_dir name (fun dir ->
+              let config =
+                Durability.Config.make ~fsync:Durability.Config.Never
+                  ~checkpoint_every:2 dir
+              in
+              let db = make_db () in
+              let mgr = Manager.create ~domains:1 ~durability:config db in
+              define_views mgr;
+              let rng = Workload.Rng.make 21 in
+              let commit () =
+                ignore
+                  (Manager.commit mgr
+                     (Workload.Generate.transaction rng db "R"
+                        ~columns:orders_columns ~inserts:2 ~deletes:1))
+              in
+              (* warm-up: the baseline checkpoint *)
+              commit ();
+              let before = Gc.minor_words () in
+              for _ = 1 to 6 do
+                commit ()
+              done;
+              Gc.minor_words () -. before)
+        in
+        let short = minor_words "words" in
+        let long = minor_words ("words-" ^ String.make 80 'x') in
+        Alcotest.(check (float 0.0)) "minor words" short long);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -249,19 +249,6 @@ let torn_commit () =
     (List.for_all (fun (_, h) -> h = Manager.Healthy) (Manager.health mgr));
   Alcotest.(check int) "no stats landed" 0 (Manager.stats mgr "v").Manager.commits
 
-let unprotected_commit_tears () =
-  let db = example_db () in
-  let mgr = Manager.create ~domains:1 ~policy:Policy.Unprotected db in
-  let v = Manager.define_view mgr ~name:"v" join_expr in
-  Relation.update (View.contents v) (Tuple.of_ints [ 1; 2; 7 ]) (-1);
-  (match Manager.commit mgr [ Transaction.delete "R" (Tuple.of_ints [ 1; 2 ]) ] with
-  | _ -> Alcotest.fail "must raise"
-  | exception Relation.Negative_count _ -> ());
-  (* The legacy behaviour this PR protects against: the base deletion
-     stays applied even though maintenance died. *)
-  Alcotest.(check bool) "base deletion not rolled back" false
-    (Relation.mem (Database.find db "R") (Tuple.of_ints [ 1; 2 ]))
-
 (* ------------------------------------------------------------------ *)
 (* Quarantine, self-heal, disable, repair                              *)
 (* ------------------------------------------------------------------ *)
@@ -281,8 +268,8 @@ let quarantine_isolates_and_heals () =
   let reports = Manager.commit mgr txn in
   Alcotest.(check int) "only the healthy sibling reports" 1 (List.length reports);
   (match Manager.view_health mgr "bad" with
-  | Manager.Quarantined q ->
-    Alcotest.(check int) "fresh quarantine" 0 q.Manager.heal_failures
+  | Manager.Quarantined { heal_failures; _ } ->
+    Alcotest.(check int) "fresh quarantine" 0 heal_failures
   | _ -> Alcotest.fail "bad should be quarantined");
   Alcotest.(check bool) "siblings committed" true
     (Relation.mem (View.contents good) (Tuple.of_ints [ 9; 9 ]));
@@ -337,8 +324,8 @@ let disable_after_exhausted_heals_then_repair () =
           false (Manager.heal mgr "v")
       done;
       match Manager.view_health mgr "v" with
-      | Manager.Disabled q ->
-        Alcotest.(check int) "three exhausted rounds" 3 q.Manager.heal_failures
+      | Manager.Disabled { heal_failures; _ } ->
+        Alcotest.(check int) "three exhausted rounds" 3 heal_failures
       | _ -> Alcotest.fail "view should be disabled");
   Alcotest.(check bool) "disabled views do not self-heal" false
     (Manager.heal mgr "v");
@@ -453,11 +440,11 @@ let sharded_row_fault_reads_as_itself () =
              ]));
     match Manager.view_health mgr "v" with
     | Manager.Healthy -> ()
-    | Manager.Quarantined q | Manager.Disabled q ->
+    | Manager.Quarantined { error; _ } | Manager.Disabled { error; _ } ->
       Alcotest.(check string)
         (Printf.sprintf "seed %d" seed)
         (Printexc.to_string (Fault.Injected "row"))
-        q.Manager.error
+        error
   done
 
 let dependent_failure_aborts () =
@@ -660,6 +647,47 @@ let invalid_txn_recovers_to_live_state () =
       | None -> ()
       | Some d -> Alcotest.fail ("recovered state differs: " ^ d))
 
+(* A view's health is the value its checkpoint stores, so a manager
+   recovered from checkpoint and log holds every view's health exactly as
+   the live one does: a disabled view's fields, and a quarantine's heal
+   failures and backoff point after heal rounds the log replays. *)
+let recovered_health_equals_live () =
+  with_wal "health" (fun config ->
+      let open_manager () =
+        let mgr =
+          Manager.create ~domains:1 ~policy:Policy.Quarantine
+            ~durability:config (example_db ())
+        in
+        ignore (Manager.define_view mgr ~name:"d" Query.Expr.(base "R"));
+        ignore (Manager.define_view mgr ~name:"q" Query.Expr.(base "S"));
+        mgr
+      in
+      let live = open_manager () in
+      let insert relation row =
+        ignore
+          (Manager.commit live
+             [ Transaction.insert relation (Tuple.of_ints row) ])
+      in
+      with_faults ~only:[ "eval"; "recompute" ] ~rate:1.0 (fun () ->
+          insert "R" [ 3; 3 ];
+          for _ = 1 to 3 do
+            ignore (Manager.heal live "d")
+          done;
+          insert "S" [ 3; 3 ];
+          Manager.checkpoint live;
+          (* q's auto-heal fails at the first and third of these *)
+          insert "S" [ 5; 5 ];
+          insert "R" [ 6; 6 ];
+          insert "S" [ 7; 7 ]);
+      (match Manager.health live with
+      | [ ("d", Manager.Disabled _); ("q", Manager.Quarantined q) ] ->
+        Alcotest.(check int) "q's failed heal rounds" 2 q.heal_failures
+      | _ -> Alcotest.fail "d should be disabled and q quarantined");
+      let recovered = open_manager () in
+      ignore (Manager.recover recovered);
+      Alcotest.(check bool) "recovered health = live health" true
+        (Manager.health recovered = Manager.health live))
+
 (* ------------------------------------------------------------------ *)
 (* Commit fast path                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -719,8 +747,6 @@ let () =
       ( "transactional commit",
         [
           quick "abort restores the exact pre-commit state" torn_commit;
-          quick "unprotected policy keeps the legacy torn behaviour"
-            unprotected_commit_tears;
           quick "an invalid transaction heals nothing and spends no seq"
             invalid_txn_changes_nothing;
           quick "an invalid transaction leaves recovery equal to live"
@@ -738,6 +764,8 @@ let () =
             heal_drops_every_deleted_duplicate;
           quick "a sharded row fault is reported as itself"
             sharded_row_fault_reads_as_itself;
+          quick "a recovered manager's health equals the live one's"
+            recovered_health_equals_live;
         ] );
       ( "dependents",
         [
